@@ -112,7 +112,8 @@ impl Lru {
         Lru {
             cap,
             map: BTreeMap::new(),
-            nodes: Vec::with_capacity(cap),
+            // Grown on demand: most kernels touch few of a large LRU's slots.
+            nodes: Vec::new(),
             head: NIL,
             tail: NIL,
             free: Vec::new(),
@@ -213,7 +214,9 @@ impl Lru {
     }
 }
 
-/// A set-associative cache of u64 tags: `sets` sets of `ways`-entry LRUs.
+/// A set-associative cache of u64 tags: `sets` sets of `ways` entries,
+/// stored flat, each set in recency order (slot 0 most recent). Per set,
+/// this is the replacement of an [`Lru`] of `ways` entries.
 ///
 /// The GPU L2 TLB is modelled set-associatively because conflict misses are
 /// what produce the paper's fanout knee (Fig 18d): a radix partitioner
@@ -222,8 +225,13 @@ impl Lru {
 /// evict entries well before full capacity is reached.
 #[derive(Debug, Clone)]
 pub struct SetAssocLru {
-    sets: Vec<Lru>,
+    tags: Vec<u64>,
+    ways: usize,
+    sets: usize,
 }
+
+/// Tag of an empty slot (real tags are addresses over an entry reach).
+const EMPTY: u64 = u64::MAX;
 
 impl SetAssocLru {
     /// Build with `entries` total entries and `ways` associativity.
@@ -231,33 +239,46 @@ impl SetAssocLru {
         let ways = ways.max(1).min(entries.max(1));
         let sets = (entries / ways).max(1);
         SetAssocLru {
-            sets: (0..sets).map(|_| Lru::new(ways)).collect(),
+            tags: vec![EMPTY; sets * ways],
+            ways,
+            sets,
         }
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.sets[0].capacity()
+        self.tags.len()
     }
 
     fn set_of(&self, tag: u64) -> usize {
         // Mix the tag before indexing so strided tag sequences (partition
         // frontiers are evenly spaced) spread across sets.
-        let h = tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize) % self.sets.len()
+        let h = (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        if self.sets.is_power_of_two() {
+            h & (self.sets - 1)
+        } else {
+            h % self.sets
+        }
     }
 
     /// Look up `tag`: true on hit; inserts on miss.
+    #[inline]
     pub fn access(&mut self, tag: u64) -> bool {
-        let s = self.set_of(tag);
-        self.sets[s].access(tag)
+        debug_assert_ne!(tag, EMPTY);
+        let first = self.set_of(tag) * self.ways;
+        let set = &mut self.tags[first..first + self.ways];
+        let hit = set.iter().position(|&t| t == tag);
+        // Move `tag` to the front; a miss drops the least recent entry.
+        for k in (1..=hit.unwrap_or(set.len() - 1)).rev() {
+            set[k] = set[k - 1];
+        }
+        set[0] = tag;
+        hit.is_some()
     }
 
     /// Drop all entries.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.flush();
-        }
+        self.tags.fill(EMPTY);
     }
 }
 
@@ -296,10 +317,21 @@ impl TlbSim {
         Bytes(self.entry_reach)
     }
 
+    /// The tag a lookup of `vaddr` uses: its entry-reach region.
+    #[inline]
+    pub fn region_of(&self, vaddr: u64) -> u64 {
+        if self.entry_reach.is_power_of_two() {
+            vaddr >> self.entry_reach.trailing_zeros()
+        } else {
+            vaddr / self.entry_reach
+        }
+    }
+
     /// Translate a virtual address residing on `side`. Returns which level
     /// served it and records statistics.
+    #[inline]
     pub fn translate(&mut self, vaddr: u64, side: MemSide) -> TlbLevel {
-        let tag = vaddr / self.entry_reach;
+        let tag = self.region_of(vaddr);
         if self.gpu_l2.access(tag) {
             self.stats.l2_hits += 1;
             return TlbLevel::L2Hit;

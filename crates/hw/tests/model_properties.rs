@@ -3,7 +3,7 @@
 
 use triton_hw::kernel::{pipeline2, KernelCost};
 use triton_hw::link::{Alignment, Dir, LinkModel};
-use triton_hw::tlb::{MemSide, SetAssocLru, TlbSim};
+use triton_hw::tlb::{Lru, MemSide, SetAssocLru, TlbSim};
 use triton_hw::units::{Bytes, BytesPerSec, Ns};
 use triton_hw::{HwConfig, LinkConfig};
 
@@ -195,6 +195,107 @@ fn set_assoc_suffers_conflicts_before_capacity() {
     assert!(total_misses > 0, "expected conflict misses below capacity");
     // But far from thrashing: most accesses still hit.
     assert!(total_misses < total / 2, "{total_misses} of {total}");
+}
+
+/// Reference model of [`SetAssocLru`]: one full [`Lru`] per set, indexed
+/// by the same multiplicative set hash.
+struct LruPerSet {
+    sets: Vec<Lru>,
+}
+
+impl LruPerSet {
+    fn new(entries: usize, ways: usize) -> Self {
+        let ways = ways.max(1).min(entries.max(1));
+        let sets = (entries / ways).max(1);
+        LruPerSet {
+            sets: (0..sets).map(|_| Lru::new(ways)).collect(),
+        }
+    }
+
+    fn access(&mut self, tag: u64) -> bool {
+        let h = tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let n = self.sets.len();
+        self.sets[((h >> 32) as usize) % n].access(tag)
+    }
+
+    fn flush(&mut self) {
+        for s in &mut self.sets {
+            s.flush();
+        }
+    }
+}
+
+/// Drive both models with `stream` (`None` = flush) and require
+/// identical hit/miss sequences.
+fn assert_same_as_reference(entries: usize, ways: usize, stream: &[Option<u64>]) {
+    let mut flat = SetAssocLru::new(entries, ways);
+    let mut reference = LruPerSet::new(entries, ways);
+    assert_eq!(
+        flat.capacity(),
+        reference.sets.len() * reference.sets[0].capacity()
+    );
+    for (i, &op) in stream.iter().enumerate() {
+        match op {
+            Some(tag) => assert_eq!(
+                flat.access(tag),
+                reference.access(tag),
+                "{entries} entries x {ways} ways: access {i} (tag {tag}) diverged"
+            ),
+            None => {
+                flat.flush();
+                reference.flush();
+            }
+        }
+    }
+}
+
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 16
+}
+
+#[test]
+fn flat_set_assoc_matches_lru_per_set_reference() {
+    let geometries = [
+        (256, 4), // the GPU L2 TLB
+        (64, 4),
+        (48, 4), // a set count that is not a power of two
+        (8, 8),  // one set
+        (1, 1),
+        (16, 32), // more ways than entries: clamps to one set
+    ];
+    let mut rng = 0x5EEDu64;
+    for (entries, ways) in geometries {
+        // Random tags, from a universe small enough to hit and one large
+        // enough to conflict, with a flush midway.
+        for universe in [entries as u64 / 2 + 1, entries as u64 * 3, 1 << 40] {
+            let mut stream: Vec<Option<u64>> =
+                (0..4000).map(|_| Some(lcg(&mut rng) % universe)).collect();
+            stream.insert(2000, None);
+            assert_same_as_reference(entries, ways, &stream);
+        }
+        // Partition-frontier streams: one evenly strided write frontier
+        // per partition, each advancing a region every few visits, at
+        // fanouts below and above the capacity.
+        for fanout in [entries as u64 / 2 + 1, entries as u64 * 4] {
+            let stride = 1 << 14;
+            let mut frontier: Vec<u64> = (0..fanout).map(|p| p * stride).collect();
+            let mut stream = Vec::new();
+            for step in 0..8000u64 {
+                let p = (lcg(&mut rng) % fanout) as usize;
+                stream.push(Some(frontier[p]));
+                if step % 3 == 0 {
+                    frontier[p] += 1;
+                }
+                if step == 5000 {
+                    stream.push(None);
+                }
+            }
+            assert_same_as_reference(entries, ways, &stream);
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use triton_hw::kernel::KernelCost;
 use triton_hw::link::LinkModel;
-use triton_hw::tlb::{MemSide, TlbSim};
+use triton_hw::tlb::{MemSide, TlbLevel, TlbSim};
 use triton_hw::units::Bytes;
 use triton_mem::HybridLayout;
 
@@ -188,8 +188,7 @@ impl ChargeCtx<'_> {
     /// the memory side for charging.
     fn lookup(&mut self, span: &Span, offset: u64) -> MemSide {
         let side = span.side_of(offset);
-        let lvl = self.tlb.translate(span.base_vaddr + span.abs(offset), side);
-        self.cost.tlb.merge(&stats_of(lvl, side));
+        self.translate(span.base_vaddr + span.abs(offset), side);
         side
     }
 
@@ -198,15 +197,25 @@ impl ChargeCtx<'_> {
         if len == 0 {
             return;
         }
-        let reach = self.tlb.entry_reach().0.max(1);
+        let reach = self.tlb.entry_reach().0;
         let abs = span.abs(offset);
-        let first = abs / reach;
-        let last = (abs + len - 1) / reach;
+        let first = self.tlb.region_of(abs);
+        let last = self.tlb.region_of(abs + len - 1);
         for region in first..=last {
             let off = region * reach;
             let side = span.side_of(off.max(abs) - span.offset);
-            let lvl = self.tlb.translate(span.base_vaddr + off, side);
-            self.cost.tlb.merge(&stats_of(lvl, side));
+            self.translate(span.base_vaddr + off, side);
+        }
+    }
+
+    /// One translation, counted in the kernel's TLB statistics.
+    fn translate(&mut self, vaddr: u64, side: MemSide) {
+        let stats = &mut self.cost.tlb;
+        match (self.tlb.translate(vaddr, side), side) {
+            (TlbLevel::L2Hit, _) => stats.l2_hits += 1,
+            (TlbLevel::L3StarHit, _) => stats.l3_star_hits += 1,
+            (TlbLevel::FullMiss, MemSide::Cpu) => stats.full_misses += 1,
+            (TlbLevel::FullMiss, MemSide::Gpu) => stats.gpu_misses += 1,
         }
     }
 }
@@ -215,18 +224,6 @@ impl ChargeCtx<'_> {
 /// L2 sectors): a 16-byte random access still moves a whole sector.
 fn round_txn(len: u64) -> u64 {
     len.div_ceil(32) * 32
-}
-
-fn stats_of(lvl: triton_hw::tlb::TlbLevel, side: MemSide) -> triton_hw::tlb::TlbStats {
-    use triton_hw::tlb::TlbLevel::*;
-    let mut s = triton_hw::tlb::TlbStats::default();
-    match (lvl, side) {
-        (L2Hit, _) => s.l2_hits = 1,
-        (L3StarHit, _) => s.l3_star_hits = 1,
-        (FullMiss, MemSide::Cpu) => s.full_misses = 1,
-        (FullMiss, MemSide::Gpu) => s.gpu_misses = 1,
-    }
-    s
 }
 
 /// Instruction-cost constants of the warp emulation. These are rough GPU

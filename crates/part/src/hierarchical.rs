@@ -104,27 +104,30 @@ impl GpuPartitioner for HierarchicalSwwc {
         // handful of GPU-side pages.
         let l2_span = Span::gpu(1 << 44);
 
-        let mut l1: Vec<Vec<(u64, u64)>> =
-            (0..fanout).map(|_| Vec::with_capacity(l1_cap)).collect();
-        let mut l2: Vec<Vec<(u64, u64)>> =
-            (0..fanout).map(|_| Vec::with_capacity(l2_cap)).collect();
+        // Swap a full L2 buffer against a spare and flush it to the output.
+        fn flush_l2(emu: &mut Emu, p: usize, fill: &mut usize) {
+            let count = std::mem::take(fill);
+            emu.cost.gpu_mem.read += Bytes(count as u64 * TUPLE_BYTES);
+            emu.cost.instructions +=
+                emu.instr.flush_fixed + count as u64 * emu.instr.flush_per_tuple;
+            // Double-buffered swap: short critical section.
+            emu.cost.sync_cycles += 16;
+            emu.charge_flush(p, count, true);
+        }
 
-        // Evict one L1 buffer into its L2 buffer; flush the L2 buffer when
-        // it fills.
-        fn evict(
-            emu: &mut Emu,
-            l2_span: &Span,
-            p: usize,
-            l1: &mut Vec<(u64, u64)>,
-            l2: &mut Vec<(u64, u64)>,
-            l2_cap: usize,
-        ) {
-            if l1.is_empty() {
+        // Fill counts of each partition's L1 (scratchpad) and L2 (GPU
+        // memory) buffers.
+        let mut l1 = vec![0usize; fanout];
+        let mut l2 = vec![0usize; fanout];
+
+        // Evict partition `p`'s L1 buffer into its L2 buffer; flush the
+        // L2 buffer when it fills.
+        let evict = |emu: &mut Emu, p: usize, l1: &mut usize, l2: &mut usize| {
+            if *l1 == 0 {
                 return;
             }
-            let bytes = l1.len() as u64 * TUPLE_BYTES;
-            emu.cost.instructions +=
-                emu.instr.flush_fixed + l1.len() as u64 * emu.instr.flush_per_tuple;
+            let bytes = *l1 as u64 * TUPLE_BYTES;
+            emu.cost.instructions += emu.instr.flush_fixed + *l1 as u64 * emu.instr.flush_per_tuple;
             emu.cost.gpu_mem.write += Bytes(bytes);
             {
                 let mut ctx = ChargeCtx {
@@ -133,27 +136,13 @@ impl GpuPartitioner for HierarchicalSwwc {
                     tlb: &mut emu.tlb,
                 };
                 // One GPU-side translation for the L2 buffer page.
-                ctx.random_read(l2_span, (p as u64) * 4096 % (1 << 20), 0);
+                ctx.random_read(&l2_span, (p as u64) * 4096 % (1 << 20), 0);
             }
-            l2.append(l1);
-            if l2.len() >= l2_cap {
+            *l2 += std::mem::take(l1);
+            if *l2 >= l2_cap {
                 flush_l2(emu, p, l2);
             }
-        }
-
-        // Swap against a spare and flush the full L2 buffer to the output.
-        fn flush_l2(emu: &mut Emu, p: usize, l2: &mut Vec<(u64, u64)>) {
-            let bytes = l2.len() as u64 * TUPLE_BYTES;
-            emu.cost.gpu_mem.read += Bytes(bytes);
-            emu.cost.instructions +=
-                emu.instr.flush_fixed + l2.len() as u64 * emu.instr.flush_per_tuple;
-            // Double-buffered swap: short critical section.
-            emu.cost.sync_cycles += 16;
-            let buf = std::mem::take(l2);
-            emu.flush(p, &buf, true);
-            *l2 = buf;
-            l2.clear();
-        }
+        };
 
         for (s, e) in Emu::chunks(n, pass, hw, fanout * l1_cap * 32) {
             let mut i = s;
@@ -163,9 +152,10 @@ impl GpuPartitioner for HierarchicalSwwc {
                 emu.cost.instructions += wbatch as u64 * emu.instr.fill_per_tuple;
                 for j in i..i + wbatch {
                     let p = emu.pid(keys[j]);
-                    l1[p].push((keys[j], rids[j]));
-                    if l1[p].len() == l1_cap {
-                        evict(&mut emu, &l2_span, p, &mut l1[p], &mut l2[p], l2_cap);
+                    emu.put(p, keys[j], rids[j]);
+                    l1[p] += 1;
+                    if l1[p] == l1_cap {
+                        evict(&mut emu, p, &mut l1[p], &mut l2[p]);
                     }
                 }
                 i += wbatch;
@@ -173,15 +163,13 @@ impl GpuPartitioner for HierarchicalSwwc {
             // Block end: evict the partial L1 buffers into L2 (they stay
             // buffered; L2 is shared across blocks).
             for p in 0..fanout {
-                if !l1[p].is_empty() {
-                    evict(&mut emu, &l2_span, p, &mut l1[p], &mut l2[p], l2_cap);
-                }
+                evict(&mut emu, p, &mut l1[p], &mut l2[p]);
             }
         }
         // Kernel end: drain all L2 buffers.
-        for (p, buf) in l2.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                flush_l2(&mut emu, p, buf);
+        for (p, fill) in l2.iter_mut().enumerate() {
+            if *fill > 0 {
+                flush_l2(&mut emu, p, fill);
             }
         }
         emu.finish(hist, pass)

@@ -69,28 +69,27 @@ impl GpuPartitioner for LinearSwwc {
             false,
         );
 
-        // Reused staging area: one bucket per partition (the functional
-        // equivalent of sorting the batch by partition id).
-        let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); fanout];
+        // Staged tuples per partition: the run lengths of the batch once
+        // it is sorted by partition id.
+        let mut runs = vec![0usize; fanout];
         let mut staged = 0usize;
 
-        let flush_batch =
-            |emu: &mut Emu, buckets: &mut Vec<Vec<(u64, u64)>>, staged: &mut usize| {
-                // In-scratchpad counting sort of the staged batch.
-                emu.cost.instructions += *staged as u64 * emu.instr.sort_per_tuple;
-                for (p, bucket) in buckets.iter_mut().enumerate() {
-                    if bucket.is_empty() {
-                        continue;
-                    }
-                    emu.cost.instructions +=
-                        emu.instr.flush_fixed + bucket.len() as u64 * emu.instr.flush_per_tuple;
-                    // Run start offsets are arbitrary: unaligned flush.
-                    emu.flush(p, bucket, false);
-                    bucket.clear();
+        let flush_batch = |emu: &mut Emu, runs: &mut [usize], staged: &mut usize| {
+            // In-scratchpad counting sort of the staged batch.
+            emu.cost.instructions += *staged as u64 * emu.instr.sort_per_tuple;
+            for (p, run) in runs.iter_mut().enumerate() {
+                if *run == 0 {
+                    continue;
                 }
-                emu.cost.sync_cycles += 96; // block-wide barrier around the sort
-                *staged = 0;
-            };
+                emu.cost.instructions +=
+                    emu.instr.flush_fixed + *run as u64 * emu.instr.flush_per_tuple;
+                // Run start offsets are arbitrary: unaligned flush.
+                emu.charge_flush(p, *run, false);
+                *run = 0;
+            }
+            emu.cost.sync_cycles += 96; // block-wide barrier around the sort
+            *staged = 0;
+        };
 
         for (s, e) in Emu::chunks(n, pass, hw, batch_cap * 32) {
             let mut i = s;
@@ -100,17 +99,18 @@ impl GpuPartitioner for LinearSwwc {
                 emu.cost.instructions += wbatch as u64 * emu.instr.fill_per_tuple;
                 for j in i..i + wbatch {
                     let p = emu.pid(keys[j]);
-                    buckets[p].push((keys[j], rids[j]));
+                    emu.put(p, keys[j], rids[j]);
+                    runs[p] += 1;
                     staged += 1;
                     if staged == batch_cap {
-                        flush_batch(&mut emu, &mut buckets, &mut staged);
+                        flush_batch(&mut emu, &mut runs, &mut staged);
                     }
                 }
                 i += wbatch;
             }
             // Block end: drain the partial batch.
             if staged > 0 {
-                flush_batch(&mut emu, &mut buckets, &mut staged);
+                flush_batch(&mut emu, &mut runs, &mut staged);
             }
         }
         emu.finish(hist, pass)

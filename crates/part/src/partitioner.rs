@@ -157,23 +157,29 @@ impl<'a> Emu<'a> {
         );
     }
 
-    /// Append `tuples` to partition `p` functionally and charge the flush.
+    /// Write one tuple at its partition's cursor, its final position:
+    /// every SWWC buffer level is FIFO per partition, so buffers reduce to
+    /// fill counters that [`Emu::charge_flush`] prices (DESIGN.md §5).
+    #[inline]
+    pub(crate) fn put(&mut self, p: usize, key: u64, rid: u64) {
+        let c = self.cursors[p];
+        self.keys_out[c] = key;
+        self.rids_out[c] = rid;
+        self.cursors[p] = c + 1;
+    }
+
+    /// Charge the flush of partition `p`'s next `count` tuples to the
+    /// output.
     ///
     /// For `aligned` algorithms the modeled address is re-padded to the
     /// transaction size after a partial flush: the real kernels give each
     /// thread block a padded region per partition, so a block-end drain
     /// never misaligns the next block's flushes.
-    pub(crate) fn flush(&mut self, p: usize, tuples: &[(u64, u64)], aligned: bool) {
-        if tuples.is_empty() {
+    pub(crate) fn charge_flush(&mut self, p: usize, count: usize, aligned: bool) {
+        if count == 0 {
             return;
         }
-        let c = self.cursors[p];
-        for (i, &(k, r)) in tuples.iter().enumerate() {
-            self.keys_out[c + i] = k;
-            self.rids_out[c + i] = r;
-        }
-        self.cursors[p] += tuples.len();
-        let len = tuples.len() as u64 * TUPLE_BYTES;
+        let len = count as u64 * TUPLE_BYTES;
         let addr = self.model_addr[p];
         self.model_addr[p] += len;
         if aligned {

@@ -13,7 +13,6 @@
 
 use triton_datagen::{multiply_shift, radix, KEY_BYTES};
 use triton_hw::cpu::CpuPhaseCost;
-use triton_hw::gpu::split_chunks;
 use triton_hw::kernel::KernelCost;
 use triton_hw::link::LinkModel;
 use triton_hw::tlb::TlbSim;
@@ -22,20 +21,13 @@ use triton_hw::HwConfig;
 
 use crate::common::{ChargeCtx, PassConfig, Span};
 
-/// Per-block histograms and the derived global/per-block offsets.
+/// Partition totals and the derived global offsets.
 #[derive(Debug, Clone)]
 pub struct HistogramResult {
-    /// `[block][partition]` tuple counts.
-    pub block_hist: Vec<Vec<u32>>,
     /// Global partition totals.
     pub totals: Vec<u64>,
     /// `fanout + 1` global partition start offsets (tuples).
     pub offsets: Vec<usize>,
-    /// `[block][partition]` start offset of each block's region within the
-    /// partition (tuples, absolute).
-    pub block_offsets: Vec<Vec<usize>>,
-    /// The block input chunks the histogram was computed over.
-    pub chunks: Vec<(usize, usize)>,
 }
 
 impl HistogramResult {
@@ -76,52 +68,30 @@ impl HistogramResult {
     }
 }
 
-/// Compute per-block histograms functionally (shared by every processor).
+/// Compute the histogram functionally (shared by every processor).
+///
+/// The GPU kernels build one histogram per thread block and sum them.
+/// The totals and offsets do not depend on that split, so `_blocks` (the
+/// block count) does not change the result; [`gpu_prefix_sum`] prices the
+/// per-block work.
 pub fn compute_histogram(
     keys: &[u64],
-    blocks: usize,
+    _blocks: usize,
     radix_bits: u32,
     skip_bits: u32,
 ) -> HistogramResult {
-    let fanout = 1usize << radix_bits;
-    let chunks = split_chunks(keys.len(), blocks.max(1));
-    let mut block_hist = vec![vec![0u32; fanout]; chunks.len()];
-    for (b, &(s, e)) in chunks.iter().enumerate() {
-        let hist = &mut block_hist[b];
-        for &k in &keys[s..e] {
-            hist[radix(multiply_shift(k), skip_bits, radix_bits)] += 1;
-        }
+    let mut totals = vec![0u64; 1usize << radix_bits];
+    for &k in keys {
+        totals[radix(multiply_shift(k), skip_bits, radix_bits)] += 1;
     }
-    let mut totals = vec![0u64; fanout];
-    for hist in &block_hist {
-        for (p, &c) in hist.iter().enumerate() {
-            totals[p] += c as u64;
-        }
-    }
-    let mut offsets = Vec::with_capacity(fanout + 1);
+    let mut offsets = Vec::with_capacity(totals.len() + 1);
     let mut acc = 0usize;
     offsets.push(0);
     for &t in &totals {
         acc += t as usize;
         offsets.push(acc);
     }
-    // Per-block start offsets: partition-major, block-minor.
-    let mut block_offsets = vec![vec![0usize; fanout]; block_hist.len()];
-    for p in 0..fanout {
-        let mut cursor = offsets[p];
-        for b in 0..block_hist.len() {
-            block_offsets[b][p] = cursor;
-            cursor += block_hist[b][p] as usize;
-        }
-        debug_assert_eq!(cursor, offsets[p + 1]);
-    }
-    HistogramResult {
-        block_hist,
-        totals,
-        offsets,
-        block_offsets,
-        chunks,
-    }
+    HistogramResult { totals, offsets }
 }
 
 /// GPU prefix-sum kernel: functional histogram plus the kernel cost of
@@ -192,22 +162,6 @@ mod tests {
         assert_eq!(total, w.r.len() as u64);
         assert_eq!(*h.offsets.last().unwrap(), w.r.len());
         assert_eq!(h.fanout(), 64);
-    }
-
-    #[test]
-    fn block_offsets_partition_major_block_minor() {
-        let keys: Vec<u64> = (0..1000).collect();
-        let h = compute_histogram(&keys, 4, 3, 0);
-        for p in 0..8 {
-            for b in 0..3 {
-                assert!(
-                    h.block_offsets[b][p] + h.block_hist[b][p] as usize
-                        == h.block_offsets[b + 1][p],
-                    "regions must be contiguous"
-                );
-            }
-            assert_eq!(h.block_offsets[0][p], h.offsets[p]);
-        }
     }
 
     #[test]

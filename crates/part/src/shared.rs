@@ -67,8 +67,8 @@ impl GpuPartitioner for SharedSwwc {
         let buf_cap = self.buffer_tuples(hw, fanout);
         let mut emu = Emu::new("partition (shared)", n, hist, input, output, pass, hw, true);
 
-        let mut buffers: Vec<Vec<(u64, u64)>> =
-            (0..fanout).map(|_| Vec::with_capacity(buf_cap)).collect();
+        // Fill count of each partition's SWWC buffer.
+        let mut fill = vec![0usize; fanout];
 
         for (s, e) in Emu::chunks(n, pass, hw, fanout * buf_cap * 32) {
             let mut i = s;
@@ -78,29 +78,27 @@ impl GpuPartitioner for SharedSwwc {
                 emu.cost.instructions += wbatch as u64 * emu.instr.fill_per_tuple;
                 for j in i..i + wbatch {
                     let p = emu.pid(keys[j]);
-                    let buf = &mut buffers[p];
-                    buf.push((keys[j], rids[j]));
-                    if buf.len() == buf_cap {
+                    emu.put(p, keys[j], rids[j]);
+                    fill[p] += 1;
+                    if fill[p] == buf_cap {
                         // Warp-leader flush: ballot + lock handoff, then a
                         // coalesced, transaction-aligned write.
                         emu.cost.instructions +=
                             emu.instr.flush_fixed + buf_cap as u64 * emu.instr.flush_per_tuple;
                         emu.cost.sync_cycles += 24;
-                        emu.flush(p, buf, true);
-                        buffers[p].clear();
+                        emu.charge_flush(p, buf_cap, true);
+                        fill[p] = 0;
                     }
                 }
                 i += wbatch;
             }
             // Block end: drain partially filled buffers (sub-line writes).
-            for (p, buffer) in buffers.iter_mut().enumerate() {
-                if !buffer.is_empty() {
+            for (p, f) in fill.iter_mut().enumerate() {
+                if *f > 0 {
                     emu.cost.instructions +=
-                        emu.instr.flush_fixed + buffer.len() as u64 * emu.instr.flush_per_tuple;
-                    let buf = std::mem::take(buffer);
-                    emu.flush(p, &buf, true);
-                    *buffer = buf;
-                    buffer.clear();
+                        emu.instr.flush_fixed + *f as u64 * emu.instr.flush_per_tuple;
+                    emu.charge_flush(p, *f, true);
+                    *f = 0;
                 }
             }
         }

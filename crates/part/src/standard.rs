@@ -69,7 +69,8 @@ impl GpuPartitioner for StandardScatter {
                         ctx.random_read(emu.output, addr, 8);
                     }
                     // The tuple store itself: 16 misaligned bytes.
-                    emu.flush(p, &[(keys[j], rids[j])], false);
+                    emu.put(p, keys[j], rids[j]);
+                    emu.charge_flush(p, 1, false);
                 }
                 emu.cost.instructions += batch as u64 * 8;
                 i += batch;
