@@ -176,11 +176,6 @@ impl AdmissionController {
         self.plan_caching = on;
     }
 
-    /// Footprint-memo effectiveness: `(hits, misses)`.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        (self.plans.hits, self.plans.misses)
-    }
-
     /// [`Self::min_reserve`] through the controller's footprint memo
     /// when enabled — identical floors, cached placement passes.
     pub fn min_reserve_of(&mut self, query: &JoinQuery, hw: &HwConfig) -> Bytes {

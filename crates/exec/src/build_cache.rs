@@ -69,17 +69,6 @@ pub struct BuildCache {
     /// Families whose partitioned state a fault invalidated; the next
     /// acquire rebuilds and clears the quarantine.
     quarantined: BTreeSet<u64>,
-    /// Queries that found their build side already partitioned
-    /// (exact + prefix).
-    pub hits: u64,
-    /// Hits on the exact `(family, range)` entry.
-    pub exact_hits: u64,
-    /// Hits served from a covering (superset) entry of the family.
-    pub prefix_hits: u64,
-    /// Queries that had to partition their build side themselves.
-    pub misses: u64,
-    /// Forced misses served while a family was quarantined.
-    pub quarantine_rebuilds: u64,
 }
 
 #[derive(Debug)]
@@ -120,29 +109,22 @@ impl BuildCache {
         if self.quarantined.remove(&key) {
             // Breaker half-open: this query rebuilds the partitioned
             // state from scratch; followers may share the fresh copy.
-            self.quarantine_rebuilds += 1;
-            self.misses += 1;
             self.entries
                 .insert((key, range.0, range.1), Entry { refs: 1, r_bytes });
             return BuildHit::Miss;
         }
         if let Some(e) = self.entries.get_mut(&(key, range.0, range.1)) {
             e.refs += 1;
-            self.hits += 1;
-            self.exact_hits += 1;
             return BuildHit::Exact;
         }
         if let Some(cover) = self.covering(key, range) {
             if let Some(e) = self.entries.get_mut(&cover) {
                 e.refs += 1;
             }
-            self.hits += 1;
-            self.prefix_hits += 1;
             return BuildHit::Prefix;
         }
         self.entries
             .insert((key, range.0, range.1), Entry { refs: 1, r_bytes });
-        self.misses += 1;
         BuildHit::Miss
     }
 
@@ -224,11 +206,9 @@ mod tests {
     fn first_is_miss_then_hits() {
         let mut c = BuildCache::new();
         assert!(!c.acquire(7, 1000));
-        assert!(c.acquire(7, 1000));
-        assert!(c.acquire(7, 1000));
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Exact);
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Exact);
         assert!(!c.acquire(8, 500));
-        assert_eq!((c.hits, c.misses), (2, 2));
-        assert_eq!((c.exact_hits, c.prefix_hits), (2, 0));
         assert_eq!(c.len(), 2);
     }
 
@@ -245,8 +225,6 @@ mod tests {
         assert_eq!(c.acquire_range(8, 250, (0, 64)), BuildHit::Miss);
         // A *superset* of a resident slice is not covered: it rebuilds.
         assert_eq!(c.acquire_range(8, 500, (0, 128)), BuildHit::Miss);
-        assert_eq!((c.hits, c.misses), (3, 3));
-        assert_eq!((c.exact_hits, c.prefix_hits), (1, 2));
         // Only builds that actually ran left entries behind.
         assert_eq!(c.len(), 3);
     }
@@ -277,9 +255,8 @@ mod tests {
         // Breaker open: forced rebuild, not a hit on stale state.
         assert!(!c.acquire(7, 1000), "quarantined key must rebuild");
         assert!(!c.is_quarantined(7), "rebuild closes the breaker");
-        assert_eq!(c.quarantine_rebuilds, 1);
         // Followers share the rebuilt state again.
-        assert!(c.acquire(7, 1000));
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Exact);
     }
 
     #[test]
@@ -290,7 +267,10 @@ mod tests {
         // The slice may not trust any of the family's torn state; its
         // rebuild closes the breaker for the family.
         assert_eq!(c.acquire_range(7, 250, (0, 64)), BuildHit::Miss);
-        assert_eq!(c.quarantine_rebuilds, 1);
+        assert!(
+            !c.is_quarantined(7),
+            "the slice's rebuild closes the breaker"
+        );
         // The full build is gone, so a full query must rebuild too (the
         // slice's fresh state does not cover it).
         assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Miss);

@@ -42,10 +42,18 @@ pub struct CostCache {
     enabled: bool,
     entries: BTreeMap<CostKey, JoinReport>,
     order: VecDeque<CostKey>,
-    /// Pricings served from the memo.
-    pub hits: u64,
-    /// Pricings that ran the operator.
-    pub misses: u64,
+}
+
+/// How [`CostCache::price`] served a pricing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Memo {
+    /// Replayed from the memo.
+    Hit,
+    /// Ran the operator and memoized the report.
+    Miss,
+    /// Ran the operator without the memo: caching is disabled, the
+    /// operator is a plan, or the run failed (an OOM is never cached).
+    Bypass,
 }
 
 /// Entry bound: far above any realistic distinct-tenant population; a
@@ -53,19 +61,14 @@ pub struct CostCache {
 const COST_CACHE_CAP: usize = 512;
 
 impl CostCache {
-    /// New cache; when `enabled` is false every lookup misses silently
-    /// (no counters move) and nothing is stored, so the disabled path is
-    /// byte-identical to the pre-cache scheduler.
+    /// New cache; when `enabled` is false every pricing bypasses it and
+    /// nothing is stored, so the disabled path is byte-identical to the
+    /// pre-cache scheduler.
     pub fn new(enabled: bool) -> Self {
         CostCache {
             enabled,
             ..CostCache::default()
         }
-    }
-
-    /// Whether the memo is live.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Fingerprint a query under its grant; `None` when this query's
@@ -113,63 +116,40 @@ impl CostCache {
         Some((lo, hi))
     }
 
-    /// Served report for `key`, if memoized. Counts a hit.
-    pub fn lookup(&mut self, key: Option<CostKey>) -> Option<JoinReport> {
-        if !self.enabled {
-            return None;
-        }
-        let rep = key.and_then(|k| self.entries.get(&k)).cloned();
-        match rep {
-            Some(r) => {
-                self.hits += 1;
-                Some(r)
-            }
-            None => None,
-        }
-    }
-
-    /// Record a pricing run that had to execute. Counts a miss for
-    /// cacheable keys; uncacheable pricings leave the counters alone.
-    pub fn insert(&mut self, key: Option<CostKey>, report: &JoinReport) {
-        if !self.enabled {
-            return;
-        }
-        let Some(k) = key else { return };
-        self.misses += 1;
-        if self.entries.len() >= COST_CACHE_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        if self.entries.insert(k, report.clone()).is_none() {
-            self.order.push_back(k);
-        }
-    }
-
     /// Price `query` under `grant`: memo hit when possible, otherwise
     /// run the granted operator and (on success) memoize the report.
-    /// Returns the report together with whether it was served from the
-    /// cache — identical to calling [`Operator::run`] directly.
+    /// The report is identical to calling [`Operator::run`] directly;
+    /// the [`Memo`] says how it was served.
     pub fn price(
         &mut self,
         query: &JoinQuery,
         grant: &Reservation,
         hw: &triton_hw::HwConfig,
-    ) -> (Result<JoinReport, triton_mem::OutOfMemory>, bool) {
+    ) -> (Result<JoinReport, triton_mem::OutOfMemory>, Memo) {
         let op = operator_with_grant(query, grant);
         let key = if self.enabled {
             Self::key(query, &op)
         } else {
             None
         };
-        if let Some(rep) = self.lookup(key) {
-            return (Ok(rep), true);
+        let Some(k) = key else {
+            return (op.run(&query.workload, hw), Memo::Bypass);
+        };
+        if let Some(rep) = self.entries.get(&k) {
+            return (Ok(rep.clone()), Memo::Hit);
         }
         let out = op.run(&query.workload, hw);
-        if let Ok(rep) = &out {
-            self.insert(key, rep);
+        let Ok(rep) = &out else {
+            return (out, Memo::Bypass);
+        };
+        if self.entries.len() >= COST_CACHE_CAP {
+            if let Some(old) = self.order.pop_front() {
+                self.entries.remove(&old);
+            }
         }
-        (out, false)
+        self.entries.insert(k, rep.clone());
+        self.order.push_back(k);
+        (out, Memo::Miss)
     }
 
     /// Drop every memoized report (ECC-retirement invalidation hook).
@@ -218,27 +198,24 @@ mod tests {
     fn hit_is_byte_identical_to_the_run_it_replays() {
         let mut c = CostCache::new(true);
         let q = query(1);
-        let (first, cached1) = c.price(&q, &grant(0), &hw());
-        let (second, cached2) = c.price(&q, &grant(0), &hw());
-        assert!(!cached1 && cached2);
+        let (first, memo1) = c.price(&q, &grant(0), &hw());
+        let (second, memo2) = c.price(&q, &grant(0), &hw());
+        assert_eq!((memo1, memo2), (Memo::Miss, Memo::Hit));
         let (a, b) = (first.unwrap(), second.unwrap());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!((c.hits, c.misses), (1, 1));
     }
 
     #[test]
     fn distinct_grants_and_data_never_collide() {
         let mut c = CostCache::new(true);
         let q = query(1);
-        let _ = c.price(&q, &grant(0), &hw());
+        assert_eq!(c.price(&q, &grant(0), &hw()).1, Memo::Miss);
         // A different cache grant is a different placement: miss.
-        let _ = c.price(&q, &grant(1 << 24), &hw());
-        assert_eq!((c.hits, c.misses), (0, 2));
+        assert_eq!(c.price(&q, &grant(1 << 24), &hw()).1, Memo::Miss);
         // Same spec, different S data (a probe batch): miss.
         let mut probe = q.clone();
         probe.workload = JoinQuery::probe_batch(&q.workload, 99);
-        let _ = c.price(&probe, &grant(0), &hw());
-        assert_eq!((c.hits, c.misses), (0, 3));
+        assert_eq!(c.price(&probe, &grant(0), &hw()).1, Memo::Miss);
         assert_eq!(c.len(), 3);
         c.flush();
         assert!(c.is_empty());
@@ -248,10 +225,9 @@ mod tests {
     fn disabled_cache_is_inert() {
         let mut c = CostCache::new(false);
         let q = query(1);
-        let (_, cached1) = c.price(&q, &grant(0), &hw());
-        let (_, cached2) = c.price(&q, &grant(0), &hw());
-        assert!(!cached1 && !cached2);
-        assert_eq!((c.hits, c.misses), (0, 0));
+        let (_, memo1) = c.price(&q, &grant(0), &hw());
+        let (_, memo2) = c.price(&q, &grant(0), &hw());
+        assert_eq!((memo1, memo2), (Memo::Bypass, Memo::Bypass));
         assert!(c.is_empty());
     }
 }

@@ -105,7 +105,7 @@ pub use admission::{
     Reservation, RevisionOutcome,
 };
 pub use build_cache::{BuildCache, BuildHit, BUILD_RADIX_BITS, FULL_RANGE};
-pub use cost_cache::{CostCache, CostKey};
+pub use cost_cache::{CostCache, CostKey, Memo};
 pub use demand::ResourceDemand;
 pub use fault::{degraded_vector, FaultCause, FaultOutcome};
 pub use metrics::{percentile, PhaseRollup, SchedulerMetrics};

@@ -94,11 +94,20 @@ pub struct SchedulerMetrics {
     /// Fault events that struck the run (kernel faults landing on a
     /// victim plus capacity revocation rounds).
     pub faults_injected: u64,
-    /// Transient-fault retries across all queries.
+    /// Transient-fault retries, counted per outcome: summed over
+    /// completed queries' [`crate::FaultOutcome`]s plus the retries of
+    /// queries lost with [`RejectReason::Faulted`]. The `sched.retries`
+    /// registry counter is per event instead: it counts every re-queue
+    /// (revocation retries included) and none on the no-resilience
+    /// path, so the two may differ.
     pub retries: u64,
-    /// Degradation-ladder downgrades across all queries.
+    /// Degradation-ladder downgrades, counted per outcome: summed over
+    /// completed queries only (`sched.downgrades` counts every ladder
+    /// step, including those of queries later shed).
     pub downgrades: u64,
-    /// Reservation revocations across all queries.
+    /// Reservation revocations, counted per outcome: summed over
+    /// completed queries only (`sched.revocations` counts every
+    /// revocation event).
     pub revocations: u64,
     /// Mid-query grant revisions (shrink-in-place and grow) the
     /// scheduler issued against running queries.
@@ -115,26 +124,6 @@ pub struct SchedulerMetrics {
     /// Per-`(operator, phase)` time/byte rollups over completed queries,
     /// sorted by operator then phase (deterministic order).
     pub phases: Vec<PhaseRollup>,
-}
-
-/// Non-outcome counters a run hands to [`SchedulerMetrics::from_run`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RunTotals {
-    pub makespan: Ns,
-    pub peak_gpu_reserved: Bytes,
-    pub gpu_capacity: Bytes,
-    pub gpu_retired: Bytes,
-    pub peak_concurrency: usize,
-    pub mean_concurrency: f64,
-    pub build_cache_hits: u64,
-    pub build_cache_prefix_hits: u64,
-    pub build_cache_misses: u64,
-    pub builds_quarantined: u64,
-    pub faults_injected: u64,
-    pub grant_revisions: u64,
-    pub grant_reclaimed: Bytes,
-    pub cost_cache_hits: u64,
-    pub cost_cache_misses: u64,
 }
 
 /// `p`-th percentile (0..=100) of an unsorted sample, by the
@@ -161,11 +150,14 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 }
 
 impl SchedulerMetrics {
-    /// Assemble from a finished run's outcomes, counters, and the phase
-    /// rollups accumulated by the run's [`crate::observe::Recorder`].
-    pub(crate) fn from_run(
+    /// The fields a finished run's outcomes determine, over `makespan`,
+    /// with the phase rollups accumulated by the run's
+    /// [`crate::observe::Recorder`]. Fields the run state owns (memory,
+    /// concurrency, cache and fault-event counters) are zero; the
+    /// scheduler fills them in.
+    pub(crate) fn from_outcomes(
         outcomes: &[Outcome],
-        totals: RunTotals,
+        makespan: Ns,
         phases: Vec<PhaseRollup>,
     ) -> Self {
         // Latencies stream through a bounded log2 histogram instead of a
@@ -210,8 +202,8 @@ impl SchedulerMetrics {
                 }
             }
         }
-        let throughput_gtps = if totals.makespan.0 > 0.0 {
-            tuples as f64 / totals.makespan.as_secs() / 1e9
+        let throughput_gtps = if makespan.0 > 0.0 {
+            tuples as f64 / makespan.as_secs() / 1e9
         } else {
             0.0
         };
@@ -222,31 +214,31 @@ impl SchedulerMetrics {
             shed_queue_full,
             shed_capacity,
             shed_faulted,
-            makespan: totals.makespan,
+            makespan,
             tuples,
             throughput_gtps,
             latency_p50: Ns(latency_hist.value_at_percentile(50) as f64),
             latency_p99: Ns(latency_hist.value_at_percentile(99) as f64),
             latency_max: Ns(latency_max),
-            peak_gpu_reserved: totals.peak_gpu_reserved,
-            gpu_capacity: totals.gpu_capacity,
-            gpu_retired: totals.gpu_retired,
-            peak_concurrency: totals.peak_concurrency,
-            mean_concurrency: totals.mean_concurrency,
+            peak_gpu_reserved: Bytes(0),
+            gpu_capacity: Bytes(0),
+            gpu_retired: Bytes(0),
+            peak_concurrency: 0,
+            mean_concurrency: 0.0,
             cache_hit_bytes: Bytes(cache_hit_bytes),
             cache_spilled_bytes: Bytes(cache_spilled_bytes),
-            build_cache_hits: totals.build_cache_hits,
-            build_cache_prefix_hits: totals.build_cache_prefix_hits,
-            build_cache_misses: totals.build_cache_misses,
-            builds_quarantined: totals.builds_quarantined,
-            faults_injected: totals.faults_injected,
+            build_cache_hits: 0,
+            build_cache_prefix_hits: 0,
+            build_cache_misses: 0,
+            builds_quarantined: 0,
+            faults_injected: 0,
             retries,
             downgrades,
             revocations,
-            grant_revisions: totals.grant_revisions,
-            grant_reclaimed: totals.grant_reclaimed,
-            cost_cache_hits: totals.cost_cache_hits,
-            cost_cache_misses: totals.cost_cache_misses,
+            grant_revisions: 0,
+            grant_reclaimed: Bytes(0),
+            cost_cache_hits: 0,
+            cost_cache_misses: 0,
             phases,
         }
     }
@@ -452,7 +444,7 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_wellformed() {
-        let m = SchedulerMetrics::from_run(&[], RunTotals::default(), Vec::new());
+        let m = SchedulerMetrics::from_outcomes(&[], Ns::ZERO, Vec::new());
         let a = m.to_json();
         let b = m.clone().to_json();
         assert_eq!(a, b);
@@ -474,7 +466,7 @@ mod tests {
             time: Ns(1.5),
             bytes: Bytes(4096),
         }];
-        let m = SchedulerMetrics::from_run(&[], RunTotals::default(), phases);
+        let m = SchedulerMetrics::from_outcomes(&[], Ns::ZERO, phases);
         let j = m.to_json();
         assert!(j.contains(
             "\"phases\":[{\"op\":\"triton\",\"phase\":\"ps_1\",\"count\":3,\"time_ns\":1.5,\"bytes\":4096}]"

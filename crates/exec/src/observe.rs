@@ -29,8 +29,9 @@ use triton_core::{phase_bytes, phase_key, phase_progress, record_overlap, record
 use triton_hw::units::{Bytes, Ns};
 use triton_hw::HwConfig;
 use triton_metrics::{sim_ns, MetricsRegistry};
-use triton_trace::{Attr, FlightRecorder, Trace, TraceEvent};
+use triton_trace::{Attr, FlightRecorder, Trace};
 
+use crate::cost_cache::Memo;
 use crate::metrics::PhaseRollup;
 use crate::query::{JoinQuery, QueryId};
 use crate::scheduler::{CompletedQuery, RejectReason};
@@ -45,6 +46,9 @@ pub const SCHED_TID_FLIGHT: u64 = 1;
 /// Scheduler track carrying gauge counter lanes (Perfetto `ph: "C"`
 /// series: GPU memory occupancy, resource utilization, in-flight count).
 pub const SCHED_TID_GAUGES: u64 = 2;
+/// Events the flight-recorder ring keeps (most recent last) for the
+/// automatic dump on faults, grant revisions and ladder steps.
+pub const FLIGHT_CAPACITY: usize = 64;
 /// Rollup window of the time-series registry: 1 simulated millisecond.
 pub const METRICS_WINDOW_NS: u64 = 1_000_000;
 /// Per-query track carrying the queue span and lifecycle instants.
@@ -128,10 +132,16 @@ pub struct Recorder {
     gauge_ctx: Vec<Attr>,
 }
 
+impl Default for Recorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Recorder {
-    /// New recorder with a flight ring of `flight_capacity` events.
+    /// New recorder with a flight ring of [`FLIGHT_CAPACITY`] events.
     #[must_use]
-    pub fn new(flight_capacity: usize) -> Self {
+    pub fn new() -> Self {
         let mut trace = Trace::new();
         trace.name_process(SCHEDULER_PID, "scheduler");
         trace.name_thread(SCHEDULER_PID, SCHED_TID_FAULTS, "faults");
@@ -139,7 +149,7 @@ impl Recorder {
         trace.name_thread(SCHEDULER_PID, SCHED_TID_GAUGES, "gauges");
         Recorder {
             trace,
-            flight: FlightRecorder::new(flight_capacity),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             rollup: BTreeMap::new(),
             registry: MetricsRegistry::new(METRICS_WINDOW_NS),
             slo: BTreeMap::new(),
@@ -320,17 +330,18 @@ impl Recorder {
         }
     }
 
-    /// An operator pricing was resolved through the cost/plan memo:
-    /// `sched.cost_cache.hit` when the memo served a cached report,
-    /// `sched.cost_cache.miss` when the operator had to run. Registry
-    /// counters only — no trace events, so the trace stays byte-identical
-    /// with the memo on or off, and a disabled memo (which never calls
-    /// this) differs from an enabled one in exactly these counter lanes.
-    pub fn cost_cache(&mut self, hit: bool, ts: Ns) {
-        let name = if hit {
-            "sched.cost_cache.hit"
-        } else {
-            "sched.cost_cache.miss"
+    /// An operator pricing was resolved: `sched.cost_cache.hit` when the
+    /// cost memo served a cached report, `sched.cost_cache.miss` when the
+    /// operator had to run and was memoized, nothing on a bypass.
+    /// Registry counters only — no trace events, so the trace stays
+    /// byte-identical with the memo on or off, and a disabled memo (which
+    /// always bypasses) differs from an enabled one in exactly these
+    /// counter lanes.
+    pub fn cost_cache(&mut self, memo: Memo, ts: Ns) {
+        let name = match memo {
+            Memo::Hit => "sched.cost_cache.hit",
+            Memo::Miss => "sched.cost_cache.miss",
+            Memo::Bypass => return,
         };
         self.registry.counter_inc(name, sim_ns(ts.0));
     }
@@ -576,12 +587,6 @@ impl Recorder {
             .collect()
     }
 
-    /// Events currently buffered in the flight ring (most recent last).
-    #[must_use]
-    pub fn flight_snapshot(&self) -> Vec<TraceEvent> {
-        self.flight.snapshot()
-    }
-
     /// The run's time-series registry so far.
     #[must_use]
     pub fn registry(&self) -> &MetricsRegistry {
@@ -615,7 +620,7 @@ mod tests {
 
     #[test]
     fn fault_dumps_the_preceding_lifecycle() {
-        let mut obs = Recorder::new(8);
+        let mut obs = Recorder::new();
         let q = JoinQuery::new(
             "t",
             triton_datagen::WorkloadSpec::paper_default(2, 256).generate(),
@@ -649,7 +654,7 @@ mod tests {
 
     #[test]
     fn gauge_sampling_is_change_driven_and_stamps_dumps() {
-        let mut obs = Recorder::new(8);
+        let mut obs = Recorder::new();
         let s = GaugeSample {
             gpu_used: Bytes(4096),
             gpu_occupancy_ppm: 250_000,
@@ -684,7 +689,7 @@ mod tests {
 
     #[test]
     fn terminal_events_settle_tenant_slo() {
-        let mut obs = Recorder::new(8);
+        let mut obs = Recorder::new();
         let mut q = JoinQuery::new(
             "dash-0",
             triton_datagen::WorkloadSpec::paper_default(2, 256).generate(),
@@ -705,7 +710,7 @@ mod tests {
 
     #[test]
     fn rollups_sorted_and_accumulated() {
-        let mut obs = Recorder::new(4);
+        let mut obs = Recorder::new();
         obs.add_rollup("triton", "queue", 5.0, 0);
         obs.add_rollup("cpu-radix", "join", 2.0, 7);
         obs.add_rollup("triton", "queue", 3.0, 0);

@@ -43,6 +43,8 @@
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
+use std::iter::{Enumerate, Peekable};
+use std::vec;
 
 use triton_core::JoinReport;
 use triton_datagen::TUPLE_BYTES;
@@ -61,7 +63,7 @@ use crate::build_cache::{BuildCache, FULL_RANGE};
 use crate::cost_cache::CostCache;
 use crate::demand::ResourceDemand;
 use crate::fault::{degraded_vector, FaultCause, FaultOutcome};
-use crate::metrics::{RunTotals, SchedulerMetrics};
+use crate::metrics::SchedulerMetrics;
 use crate::observe::{GaugeSample, Recorder};
 use crate::query::{JoinQuery, QueryId};
 use crate::resilience::downgrade_operator;
@@ -208,9 +210,6 @@ pub struct SchedulerConfig {
     pub max_queue: usize,
     /// Fault-recovery policies (see [`crate::resilience`]).
     pub resilience: ResilienceConfig,
-    /// Capacity of the flight-recorder ring (most recent trace events
-    /// kept for the automatic dump on faults and ladder steps).
-    pub flight_capacity: usize,
     /// Arrival-wake batching (epoch scheduling). With work in flight the
     /// event loop defers its arrival wake until this many pending
     /// arrivals are due — or the next completion / fault / retry wake,
@@ -235,7 +234,6 @@ impl Default for SchedulerConfig {
             max_inflight: 8,
             max_queue: 64,
             resilience: ResilienceConfig::default(),
-            flight_capacity: 64,
             arrival_batch: 1,
             cost_caching: true,
         }
@@ -351,15 +349,6 @@ struct Queued {
     attempts_at_rung: u32,
 }
 
-/// Insert preserving priority order, FIFO within a priority class.
-fn enqueue(queue: &mut VecDeque<Queued>, q: Queued) {
-    let pos = queue
-        .iter()
-        .position(|e| e.query.priority < q.query.priority)
-        .unwrap_or(queue.len());
-    queue.insert(pos, q);
-}
-
 /// Revocation victim: the lowest-priority reservation holder, breaking
 /// ties toward the most recently submitted query (highest id) so the
 /// oldest work survives capacity loss.
@@ -396,6 +385,72 @@ impl Scheduler {
     /// Fully deterministic: the same queries and the same plan (seed
     /// included) produce identical outcomes and metrics.
     pub fn run_with_faults(&self, queries: Vec<JoinQuery>, plan: &FaultPlan) -> ServeResult {
+        let mut w = World::new(&self.hw, &self.config, plan, queries);
+        loop {
+            w.retire_memory();
+            w.strike_kernels();
+            w.admit_ready();
+            if w.running.is_empty() && w.arrivals.is_empty() {
+                // Sleeping retries may still wake; jump to the earliest.
+                if w.wake_sleeper() {
+                    continue;
+                }
+                w.shed_backlog();
+                break;
+            }
+            let rates = w.arbitrate();
+            let dt = w.time_to_next_event(&rates);
+            if !dt.is_finite() {
+                break;
+            }
+            w.advance(dt, &rates);
+            w.land_arrivals();
+            w.complete_finished();
+        }
+        w.finish()
+    }
+}
+
+/// The event loop's whole state for one serving run. Every repeated
+/// scheduling step (reject, release, downgrade, price) is one method, so
+/// each decision is taken and recorded in exactly one place; event
+/// counts live in the [`Recorder`]'s registry and are read back when the
+/// run ends.
+struct World<'a> {
+    hw: &'a HwConfig,
+    config: &'a SchedulerConfig,
+    plan: &'a FaultPlan,
+    /// ECC retirements not yet due, in time order.
+    retirements: Peekable<vec::IntoIter<(Ns, Bytes)>>,
+    /// Kernel faults not yet due, numbered by strike.
+    kernel_faults: Peekable<Enumerate<vec::IntoIter<Ns>>>,
+    /// Fault-plan rate transitions not yet passed.
+    transitions: Peekable<vec::IntoIter<Ns>>,
+    clock: Ns,
+    arrivals: VecDeque<(QueryId, JoinQuery)>,
+    queue: VecDeque<Queued>,
+    running: Vec<Running>,
+    outcomes: Vec<(QueryId, Outcome)>,
+    admission: AdmissionController,
+    cache: BuildCache,
+    costs: CostCache,
+    obs: Recorder,
+    builds_quarantined: u64,
+    grant_reclaimed: Bytes,
+    peak_concurrency: usize,
+    /// Integral of (running > 0) dt.
+    busy_time: f64,
+    /// Integral of |running| dt.
+    weighted_conc: f64,
+}
+
+impl<'a> World<'a> {
+    fn new(
+        hw: &'a HwConfig,
+        config: &'a SchedulerConfig,
+        plan: &'a FaultPlan,
+        queries: Vec<JoinQuery>,
+    ) -> Self {
         let mut arrivals: Vec<(QueryId, JoinQuery)> = queries
             .into_iter()
             .enumerate()
@@ -404,365 +459,160 @@ impl Scheduler {
         // Stable by arrival time (total order — NaN arrivals cannot
         // scramble the timeline); ids preserve submission order.
         arrivals.sort_by(|a, b| a.1.arrival.0.total_cmp(&b.1.arrival.0));
+        let mut admission = AdmissionController::new(hw);
+        admission.set_plan_caching(config.cost_caching);
+        World {
+            hw,
+            config,
+            plan,
+            retirements: plan.retirements().into_iter().peekable(),
+            kernel_faults: plan.kernel_faults().into_iter().enumerate().peekable(),
+            transitions: plan.transitions().into_iter().peekable(),
+            clock: Ns::ZERO,
+            arrivals: arrivals.into(),
+            queue: VecDeque::new(),
+            running: Vec::new(),
+            outcomes: Vec::new(),
+            admission,
+            cache: BuildCache::new(),
+            costs: CostCache::new(config.cost_caching),
+            obs: Recorder::new(),
+            builds_quarantined: 0,
+            grant_reclaimed: Bytes(0),
+            peak_concurrency: 0,
+            busy_time: 0.0,
+            weighted_conc: 0.0,
+        }
+    }
 
-        let retirements = plan.retirements();
-        let kernel_faults = plan.kernel_faults();
-        let transitions = plan.transitions();
-        let mut next_retire = 0usize;
-        let mut next_kfault = 0usize;
-        let mut next_transition = 0usize;
-        let mut faults_injected = 0u64;
-        let mut builds_quarantined = 0u64;
-        let mut gpu_retired = Bytes(0);
-        let mut grant_revisions = 0u64;
-        let mut grant_reclaimed = Bytes(0);
+    /// Whether faults shrink grants in place before revoking anyone.
+    fn elastic(&self) -> bool {
+        self.config.resilience.enabled && self.config.resilience.elastic.enabled
+    }
 
-        let mut obs = Recorder::new(self.config.flight_capacity);
-        let mut admission = AdmissionController::new(&self.hw);
-        admission.set_plan_caching(self.config.cost_caching);
-        let mut cache = BuildCache::new();
-        let mut costs = CostCache::new(self.config.cost_caching);
-        let mut queue: VecDeque<Queued> = VecDeque::new();
-        let mut running: Vec<Running> = Vec::new();
-        let mut outcomes: Vec<(QueryId, Outcome)> = Vec::new();
-        let mut clock = Ns::ZERO;
-        let mut arrivals: VecDeque<(QueryId, JoinQuery)> = arrivals.into();
-        let mut peak_concurrency = 0usize;
-        let mut busy_time = 0.0f64; // integral of (running > 0) dt
-        let mut weighted_conc = 0.0f64; // integral of |running| dt
+    /// Refuse a query with a typed reason.
+    fn reject(&mut self, id: QueryId, query: JoinQuery, reason: RejectReason) {
+        self.obs.shed(id, self.clock, &reason);
+        let name = query.name;
+        self.outcomes
+            .push((id, Outcome::Rejected { id, name, reason }));
+    }
 
-        loop {
-            // --- Fault events due at this instant.
-            while next_retire < retirements.len() && retirements[next_retire].0 .0 <= clock.0 {
-                let (_, bytes) = retirements[next_retire];
-                next_retire += 1;
-                faults_injected += 1;
-                let before = admission.capacity();
-                admission.retire(bytes);
-                let retired_now = before.saturating_sub(admission.capacity());
-                gpu_retired += retired_now;
-                // The retired pages tear resident partitioned builds:
-                // trip the circuit breaker so followers rebuild instead
-                // of sharing stale state. Memoized pricings go with them
-                // (the capacity change alters future grants; a wholesale
-                // flush keeps the invalidation story uniform).
-                let quarantined = cache.quarantine_all() as u64;
-                builds_quarantined += quarantined;
-                costs.flush();
-                obs.fault(
-                    "ecc-retirement",
-                    clock,
-                    vec![
-                        Attr::u64("retired_bytes", retired_now.0),
-                        Attr::u64("builds_quarantined", quarantined),
-                    ],
-                );
-                // Shrink-in-place rungs: before revoking anyone, reclaim
-                // running queries' optional cache shares — each a priced,
-                // traced revision — until the shrunk device fits its
-                // reservations again or no cache grant is left to take.
-                if self.config.resilience.enabled && self.config.resilience.elastic.enabled {
-                    self.reclaim_cache(
-                        |a| a.overcommitted(),
-                        "ecc-retirement",
-                        clock,
-                        &mut running,
-                        &mut admission,
-                        &mut costs,
-                        &mut obs,
-                        &mut grant_revisions,
-                        &mut grant_reclaimed,
-                    );
-                }
-                // Revoke reservations until the shrunk device fits them.
-                while admission.overcommitted().0 > 0 {
-                    let Some(vi) = victim_index(&running) else {
-                        break;
-                    };
-                    let victim = running.swap_remove(vi);
-                    self.recover_or_shed(
-                        victim,
-                        FaultCause::Revoked,
-                        clock,
-                        &mut queue,
-                        &mut admission,
-                        &mut cache,
-                        &mut outcomes,
-                        &mut obs,
-                    );
-                }
-            }
-            while next_kfault < kernel_faults.len() && kernel_faults[next_kfault].0 <= clock.0 {
-                let strike = next_kfault as u64;
-                next_kfault += 1;
-                // Deterministic victim among GPU-resident queries: rank
-                // by id, pick by a seed-derived roll. An idle GPU means
-                // the fault fizzles.
-                let mut ids: Vec<QueryId> = running
-                    .iter()
-                    .filter(|r| r.uses_gpu)
-                    .map(|r| r.id)
-                    .collect();
-                if ids.is_empty() {
-                    continue;
-                }
-                ids.sort_unstable();
-                faults_injected += 1;
-                let pick =
-                    ids[(splitmix64(plan.seed ^ 0xC0DE ^ strike) % ids.len() as u64) as usize];
-                let Some(vi) = running.iter().position(|r| r.id == pick) else {
-                    continue;
-                };
-                obs.fault(
-                    "kernel-fault",
-                    clock,
-                    vec![Attr::str("victim", pick.to_string())],
-                );
-                let victim = running.swap_remove(vi);
-                self.recover_or_shed(
-                    victim,
-                    FaultCause::Transient,
-                    clock,
-                    &mut queue,
-                    &mut admission,
-                    &mut cache,
-                    &mut outcomes,
-                    &mut obs,
-                );
-            }
+    /// Return a query's reservation and unpin its shared build.
+    fn release(&mut self, id: QueryId, query: &JoinQuery) {
+        let _ = self.admission.release(id);
+        if let Some(k) = query.build_key {
+            self.cache
+                .release_range(k, query.build_range.unwrap_or(FULL_RANGE));
+        }
+    }
 
-            // --- Admit while memory and the concurrency cap allow.
-            self.admit_ready(
+    /// Move a queued query one rung down the degradation ladder; false
+    /// when it is already on the last rung.
+    fn downgrade(&mut self, q: &mut Queued, reason: &'static str) -> bool {
+        let Some(op) = downgrade_operator(&q.query.op) else {
+            return false;
+        };
+        let from = q.query.op.label();
+        q.query.op = op;
+        q.fault.downgrades += 1;
+        q.attempts_at_rung = 0;
+        self.obs
+            .downgrade(q.id, self.clock, from, q.query.op.label(), reason);
+        true
+    }
+
+    /// Functional dedicated run of `query` under `grant`, memoized: a
+    /// repeat (workload, grant) pricing replays the byte-identical report
+    /// instead of re-running the operator.
+    fn price(&mut self, query: &JoinQuery, grant: &Reservation) -> Result<JoinReport, OutOfMemory> {
+        let (priced, memo) = self.costs.price(query, grant, self.hw);
+        self.obs.cost_cache(memo, self.clock);
+        priced
+    }
+
+    /// Insert preserving priority order, FIFO within a priority class.
+    fn enqueue(&mut self, q: Queued) {
+        let pos = self
+            .queue
+            .iter()
+            .position(|e| e.query.priority < q.query.priority)
+            .unwrap_or(self.queue.len());
+        self.queue.insert(pos, q);
+    }
+
+    /// ECC retirements due now: shrink capacity, trip the build-cache
+    /// breaker, then reclaim cache grants and revoke reservations until
+    /// the shrunk device fits them again.
+    fn retire_memory(&mut self) {
+        let clock = self.clock;
+        while let Some((_, bytes)) = self.retirements.next_if(|(at, _)| at.0 <= clock.0) {
+            let before = self.admission.capacity();
+            let retired_now = before.saturating_sub(self.admission.retire(bytes));
+            // The retired pages tear resident partitioned builds:
+            // trip the circuit breaker so followers rebuild instead
+            // of sharing stale state. Memoized pricings go with them
+            // (the capacity change alters future grants; a wholesale
+            // flush keeps the invalidation story uniform).
+            let quarantined = self.cache.quarantine_all() as u64;
+            self.builds_quarantined += quarantined;
+            self.costs.flush();
+            self.obs.fault(
+                "ecc-retirement",
                 clock,
-                &mut queue,
-                &mut running,
-                &mut admission,
-                &mut cache,
-                &mut costs,
-                &mut outcomes,
-                &mut obs,
-                &mut grant_revisions,
-                &mut grant_reclaimed,
+                vec![
+                    Attr::u64("retired_bytes", retired_now.0),
+                    Attr::u64("builds_quarantined", quarantined),
+                ],
             );
-            peak_concurrency = peak_concurrency.max(running.len());
-
-            let next_arrival_at = arrivals.front().map(|(_, q)| q.arrival.0);
-            if running.is_empty() && next_arrival_at.is_none() {
-                // Sleeping retries may still wake; jump to the earliest.
-                let next_wake = queue
-                    .iter()
-                    .map(|q| q.eligible_at.0)
-                    .filter(|&t| t > clock.0)
-                    .fold(f64::INFINITY, f64::min);
-                if next_wake.is_finite() {
-                    clock = Ns(next_wake);
-                    continue;
-                }
-                // Anything still queued can never start (no completions
-                // left to free memory): shed it as over-capacity backlog.
-                while let Some(q) = queue.pop_front() {
-                    let floor = admission.min_reserve_of(&q.query, &self.hw);
-                    let reason = RejectReason::OverCapacity {
-                        needed: floor,
-                        capacity: admission.capacity(),
-                    };
-                    obs.shed(q.id, clock, &reason);
-                    outcomes.push((
-                        q.id,
-                        Outcome::Rejected {
-                            id: q.id,
-                            name: q.query.name.clone(),
-                            reason,
-                        },
-                    ));
-                }
-                break;
+            // Shrink-in-place rungs: before revoking anyone, reclaim
+            // running queries' optional cache shares — each a priced,
+            // traced revision — until the shrunk device fits its
+            // reservations again or no cache grant is left to take.
+            if self.elastic() {
+                self.reclaim_cache(|a| a.overcommitted(), "ecc-retirement");
             }
-
-            // --- Arbitrated speeds for the current in-flight set, priced
-            // on the degraded machine (factors are piecewise-constant
-            // between fault transitions, which bound every step below).
-            let link_factor = plan.link_factor(clock);
-            let cpu_factor = plan.cpu_factor(clock);
-            let loads: Vec<ResourceVector> = running
-                .iter()
-                .map(|r| degraded_vector(r.demand, link_factor, cpu_factor))
-                .collect();
-            let weights: Vec<f64> = running.iter().map(|r| r.weight).collect();
-            let rates = fair_share_rates(&loads, &weights);
-
-            // --- Gauge observation at this decision point: allocator
-            // occupancy plus aggregate utilization priced off the same
-            // arbitrated rates that drive the fluid state.
-            let util = aggregate_utilization(&loads, &rates);
-            obs.sample_gauges(
-                clock,
-                &GaugeSample {
-                    gpu_used: admission.reserved(),
-                    gpu_capacity: admission.capacity(),
-                    gpu_requested: admission.requested(),
-                    gpu_fragmentation: admission.fragmentation(),
-                    gpu_occupancy_ppm: admission.occupancy_ppm(),
-                    link_util_ppm: utilization_ppm(util.link),
-                    sm_util_ppm: utilization_ppm(util.compute),
-                    gpu_mem_util_ppm: utilization_ppm(util.gpu_mem),
-                    cpu_util_ppm: utilization_ppm(util.cpu),
-                    running: running.len() as u64,
-                    queued: queue.len() as u64,
-                },
-            );
-
-            // --- Time to the next event.
-            let t_complete = running
-                .iter()
-                .zip(&rates)
-                .map(|(r, &s)| r.remaining / s.max(1e-12))
-                .fold(f64::INFINITY, f64::min);
-            // Epoch batching: with work already in flight, the arrival
-            // wake is deferred to the k-th pending arrival (k =
-            // min(arrival_batch, pending)) so a burst is drained and
-            // admitted in one pass; completions, fault transitions, and
-            // retry wakes still fire on time and drain whatever is due.
-            // An idle machine (or batch = 1) wakes on the very next
-            // arrival — the classic loop, reproduced exactly.
-            let t_arrival = if self.config.arrival_batch > 1 && !running.is_empty() {
-                let k = self.config.arrival_batch.min(arrivals.len());
-                arrivals
-                    .get(k.saturating_sub(1))
-                    .map_or(f64::INFINITY, |(_, q)| (q.arrival.0 - clock.0).max(0.0))
-            } else {
-                next_arrival_at.map_or(f64::INFINITY, |at| (at - clock.0).max(0.0))
-            };
-            while next_transition < transitions.len() && transitions[next_transition].0 <= clock.0 {
-                next_transition += 1;
-            }
-            let t_fault = transitions
-                .get(next_transition)
-                .map_or(f64::INFINITY, |t| t.0 - clock.0);
-            let t_wake = queue
-                .iter()
-                .map(|q| q.eligible_at.0 - clock.0)
-                .filter(|&d| d > 0.0)
-                .fold(f64::INFINITY, f64::min);
-            let dt = t_complete.min(t_arrival).min(t_fault).min(t_wake);
-            if !dt.is_finite() {
-                // Nothing running and no arrivals: handled above.
-                break;
-            }
-
-            // --- Advance the fluid state.
-            if !running.is_empty() {
-                busy_time += dt;
-                weighted_conc += dt * running.len() as f64;
-            }
-            clock += Ns(dt);
-            for (r, &s) in running.iter_mut().zip(&rates) {
-                r.remaining = (r.remaining - dt * s).max(0.0);
-            }
-
-            // --- Arrivals land in the queue (or bounce off its limit);
-            // under epoch batching the whole due batch lands here at
-            // once and the next admit pass handles it in a single sweep.
-            while arrivals
-                .front()
-                .is_some_and(|(_, q)| q.arrival.0 <= clock.0)
-            {
-                let Some((id, query)) = arrivals.pop_front() else {
+            // Revoke reservations until the shrunk device fits them.
+            while self.admission.overcommitted().0 > 0 {
+                let Some(vi) = victim_index(&self.running) else {
                     break;
                 };
-                if queue.len() >= self.config.max_queue {
-                    let reason = RejectReason::QueueFull {
-                        limit: self.config.max_queue,
-                    };
-                    obs.shed(id, clock, &reason);
-                    outcomes.push((
-                        id,
-                        Outcome::Rejected {
-                            id,
-                            name: query.name.clone(),
-                            reason,
-                        },
-                    ));
-                    continue;
-                }
-                obs.enqueue(id, &query, query.arrival);
-                let eligible_at = query.arrival;
-                enqueue(
-                    &mut queue,
-                    Queued {
-                        id,
-                        query,
-                        eligible_at,
-                        fault: FaultOutcome::default(),
-                        attempts_at_rung: 0,
-                    },
-                );
-            }
-
-            // --- Completions.
-            let mut i = 0;
-            while i < running.len() {
-                if running[i].remaining <= 1e-9 {
-                    let r = running.swap_remove(i);
-                    let _ = admission.release(r.id);
-                    if let Some(k) = r.query.build_key {
-                        cache.release_range(k, r.query.build_range.unwrap_or(FULL_RANGE));
-                    }
-                    let c = CompletedQuery {
-                        id: r.id,
-                        name: r.query.name.clone(),
-                        arrival: r.query.arrival,
-                        start: r.start,
-                        finish: clock,
-                        dedicated: r.dedicated,
-                        report: r.report,
-                        reserved: r.reservation.reserved,
-                        build_cache_hit: r.build_cache_hit,
-                        operator: r.op_label,
-                        fault: r.fault,
-                    };
-                    obs.complete(&c, &self.hw);
-                    outcomes.push((c.id, Outcome::Completed(Box::new(c))));
-                } else {
-                    i += 1;
-                }
+                let victim = self.running.swap_remove(vi);
+                self.recover_or_shed(victim, FaultCause::Revoked);
             }
         }
+    }
 
-        outcomes.sort_by_key(|(id, _)| *id);
-        let outcomes: Vec<Outcome> = outcomes.into_iter().map(|(_, o)| o).collect();
-        let metrics = SchedulerMetrics::from_run(
-            &outcomes,
-            RunTotals {
-                makespan: clock,
-                peak_gpu_reserved: admission.peak_reserved,
-                gpu_capacity: admission.initial_capacity(),
-                gpu_retired,
-                peak_concurrency,
-                mean_concurrency: if busy_time > 0.0 {
-                    weighted_conc / busy_time
-                } else {
-                    0.0
-                },
-                build_cache_hits: cache.hits,
-                build_cache_prefix_hits: cache.prefix_hits,
-                build_cache_misses: cache.misses,
-                builds_quarantined,
-                faults_injected,
-                grant_revisions,
-                grant_reclaimed,
-                cost_cache_hits: costs.hits,
-                cost_cache_misses: costs.misses,
-            },
-            obs.rollups(),
-        );
-        let (trace, telemetry, slo) = obs.into_parts();
-        ServeResult {
-            outcomes,
-            metrics,
-            trace,
-            telemetry,
-            slo,
+    /// Transient kernel faults due now, each killing one GPU-resident
+    /// attempt.
+    fn strike_kernels(&mut self) {
+        let clock = self.clock;
+        while let Some((strike, _)) = self.kernel_faults.next_if(|(_, at)| at.0 <= clock.0) {
+            // Deterministic victim among GPU-resident queries: rank
+            // by id, pick by a seed-derived roll. An idle GPU means
+            // the fault fizzles.
+            let mut ids: Vec<QueryId> = self
+                .running
+                .iter()
+                .filter(|r| r.uses_gpu)
+                .map(|r| r.id)
+                .collect();
+            if ids.is_empty() {
+                continue;
+            }
+            ids.sort_unstable();
+            let roll = splitmix64(self.plan.seed ^ 0xC0DE ^ strike as u64);
+            let pick = ids[(roll % ids.len() as u64) as usize];
+            let Some(vi) = self.running.iter().position(|r| r.id == pick) else {
+                continue;
+            };
+            self.obs.fault(
+                "kernel-fault",
+                clock,
+                vec![Attr::str("victim", pick.to_string())],
+            );
+            let victim = self.running.swap_remove(vi);
+            self.recover_or_shed(victim, FaultCause::Transient);
         }
     }
 
@@ -771,49 +621,31 @@ impl Scheduler {
     /// victim's reservation and cache pin are released either way; its
     /// partial work is lost and a recovered attempt restarts from
     /// scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_or_shed(
-        &self,
-        victim: Running,
-        cause: FaultCause,
-        clock: Ns,
-        queue: &mut VecDeque<Queued>,
-        admission: &mut AdmissionController,
-        cache: &mut BuildCache,
-        outcomes: &mut Vec<(QueryId, Outcome)>,
-        obs: &mut Recorder,
-    ) {
-        let _ = admission.release(victim.id);
-        if let Some(k) = victim.query.build_key {
-            cache.release_range(k, victim.query.build_range.unwrap_or(FULL_RANGE));
-        }
-        let mut query = victim.query;
-        let mut fault = victim.fault;
-        let mut attempts = victim.attempts_at_rung;
+    fn recover_or_shed(&mut self, victim: Running, cause: FaultCause) {
+        self.release(victim.id, &victim.query);
+        let mut q = Queued {
+            id: victim.id,
+            query: victim.query,
+            eligible_at: self.clock,
+            fault: victim.fault,
+            attempts_at_rung: victim.attempts_at_rung,
+        };
         match cause {
             FaultCause::Transient => {
-                fault.retries += 1;
-                attempts += 1;
+                q.fault.retries += 1;
+                q.attempts_at_rung += 1;
             }
             FaultCause::Revoked => {
-                fault.revocations += 1;
-                obs.revoked(victim.id, clock);
+                q.fault.revocations += 1;
+                self.obs.revoked(q.id, self.clock);
             }
         }
         if !self.config.resilience.enabled {
             let reason = RejectReason::Faulted {
                 fault: cause.label().to_string(),
-                retries: fault.retries,
+                retries: q.fault.retries,
             };
-            obs.shed(victim.id, clock, &reason);
-            outcomes.push((
-                victim.id,
-                Outcome::Rejected {
-                    id: victim.id,
-                    name: query.name.clone(),
-                    reason,
-                },
-            ));
+            self.reject(q.id, q.query, reason);
             return;
         }
         let retry = &self.config.resilience.retry;
@@ -821,90 +653,48 @@ impl Scheduler {
             // First revocation: retry on the same rung asking for less
             // optional cache. Repeat offenders descend the ladder.
             FaultCause::Revoked => {
-                if fault.revocations <= 1 {
-                    fault.grant_shrinks += 1;
-                } else if let Some(op) = downgrade_operator(&query.op) {
-                    let from = query.op.label();
-                    query.op = op;
-                    fault.downgrades += 1;
-                    attempts = 0;
-                    obs.downgrade(
-                        victim.id,
-                        clock,
-                        from,
-                        query.op.label(),
-                        "repeat-revocation",
-                    );
+                if q.fault.revocations <= 1 {
+                    q.fault.grant_shrinks += 1;
+                } else {
+                    self.downgrade(&mut q, "repeat-revocation");
                 }
             }
             // Retries exhausted on this rung: descend.
             FaultCause::Transient => {
-                if attempts > retry.max_retries {
-                    if let Some(op) = downgrade_operator(&query.op) {
-                        let from = query.op.label();
-                        query.op = op;
-                        fault.downgrades += 1;
-                        attempts = 0;
-                        obs.downgrade(
-                            victim.id,
-                            clock,
-                            from,
-                            query.op.label(),
-                            "retries-exhausted",
-                        );
-                    }
+                if q.attempts_at_rung > retry.max_retries {
+                    self.downgrade(&mut q, "retries-exhausted");
                 }
             }
         }
         // Back off before re-admission, spending at most the remaining
         // deadline budget (a wake past the deadline is a guaranteed
         // shed).
-        let attempt = fault.retries + fault.revocations - 1;
-        let slack = query.deadline.map(|d| d - (clock - query.arrival));
-        let delay = retry.backoff_within(victim.id, attempt, slack);
-        obs.retry(victim.id, clock, cause.label(), attempt, delay);
-        enqueue(
-            queue,
-            Queued {
-                id: victim.id,
-                query,
-                eligible_at: clock + delay,
-                fault,
-                attempts_at_rung: attempts,
-            },
-        );
+        let attempt = q.fault.retries + q.fault.revocations - 1;
+        let slack = q.query.deadline.map(|d| d - (self.clock - q.query.arrival));
+        let delay = retry.backoff_within(q.id, attempt, slack);
+        self.obs
+            .retry(q.id, self.clock, cause.label(), attempt, delay);
+        q.eligible_at = self.clock + delay;
+        self.enqueue(q);
     }
 
     /// Shrink-in-place: reclaim optional cache from running queries —
     /// lowest priority first, biggest cache grant first within a class,
     /// most recent submission on ties — until `need` reports zero bytes
-    /// missing or no eligible victim remains. Every revision is priced
-    /// through the link cost model ([`AdmissionController::revise`]),
-    /// traced as a `grant-revision` event, and re-prices the victim's
-    /// remaining work under its revised grant; the victim's *answer*
-    /// cannot change (a cache budget only moves placement and time).
-    /// Returns the total bytes reclaimed.
-    #[allow(clippy::too_many_arguments)]
+    /// missing or no eligible victim remains.
     fn reclaim_cache(
-        &self,
+        &mut self,
         need: impl Fn(&AdmissionController) -> Bytes,
         reason: &'static str,
-        clock: Ns,
-        running: &mut [Running],
-        admission: &mut AdmissionController,
-        costs: &mut CostCache,
-        obs: &mut Recorder,
-        grant_revisions: &mut u64,
-        grant_reclaimed: &mut Bytes,
-    ) -> Bytes {
+    ) {
         let max_rev = self.config.resilience.elastic.max_revisions;
-        let mut reclaimed = Bytes(0);
         loop {
-            let missing = need(admission);
+            let missing = need(&self.admission);
             if missing.0 == 0 {
                 break;
             }
-            let Some(vi) = running
+            let Some(vi) = self
+                .running
                 .iter()
                 .enumerate()
                 .filter(|(_, r)| r.reservation.cache_grant.0 > 0 && r.revisions < max_rev)
@@ -919,65 +709,69 @@ impl Scheduler {
             else {
                 break;
             };
-            let r = &mut running[vi];
+            // Detached while revised so its re-pricing can go through
+            // the world; put back at the same index so the arbitration
+            // order is unchanged.
+            let mut r = self.running.remove(vi);
             let ask = missing.min(r.reservation.cache_grant);
-            let out = match admission.revise(r.id, GrantRevision::Shrink(ask), &self.hw) {
-                Ok(out) if out.delta.0 > 0 => out,
-                // Nothing movable on this victim: exhaust it so the
-                // search cannot pick it again and spin.
-                _ => {
-                    r.revisions = max_rev;
-                    continue;
-                }
-            };
-            r.revisions += 1;
-            r.reservation = out.grant;
-            *grant_revisions += 1;
-            *grant_reclaimed += out.delta;
-            reclaimed += out.delta;
-            // Re-price the rest of the query under the revised grant:
-            // same workload, same operator, smaller cache — placement
-            // and timing change, the answer cannot. Re-pricings go
-            // through the memo too: a repeat shrink to a grant already
-            // priced replays the identical report.
-            let (h0, m0) = (costs.hits, costs.misses);
-            let (priced, _) = costs.price(&r.query, &out.grant, &self.hw);
-            if costs.hits > h0 {
-                obs.cost_cache(true, clock);
-            } else if costs.misses > m0 {
-                obs.cost_cache(false, clock);
-            }
-            if let Ok(rep) = priced {
-                let r_bytes = r.query.workload.r.len() as u64 * TUPLE_BYTES;
-                let s_bytes = r.query.workload.s.len() as u64 * TUPLE_BYTES;
-                let probe_frac = s_bytes as f64 / (r_bytes + s_bytes).max(1) as f64;
-                let demand = ResourceDemand::from_report(&rep, r.build_cache_hit, probe_frac);
-                let frac = if r.dedicated.0 > 0.0 {
-                    (r.remaining / r.dedicated.0).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                r.remaining = demand.work.0 * frac + out.reclaim.0;
-                r.demand = demand.vector;
-                r.dedicated = demand.work;
-                r.report = rep;
-            } else {
-                // A shrunk re-run cannot OOM harder than the original;
-                // if it somehow does, keep the old pricing and only pay
-                // the reclaim time.
-                r.remaining += out.reclaim.0;
-            }
-            obs.revise(
-                r.id,
-                clock,
-                "shrink",
-                out.delta,
-                out.grant.reserved,
-                out.reclaim,
-                reason,
-            );
+            self.shrink_grant(&mut r, ask, reason);
+            self.running.insert(vi, r);
         }
-        reclaimed
+    }
+
+    /// Shrink one running query's cache grant by up to `ask`. The
+    /// revision is priced through the link cost model
+    /// ([`AdmissionController::revise`]), traced as a `grant-revision`
+    /// event, and re-prices the victim's remaining work under its revised
+    /// grant; the victim's *answer* cannot change (a cache budget only
+    /// moves placement and time).
+    fn shrink_grant(&mut self, r: &mut Running, ask: Bytes, reason: &'static str) {
+        let out = match self
+            .admission
+            .revise(r.id, GrantRevision::Shrink(ask), self.hw)
+        {
+            Ok(out) if out.delta.0 > 0 => out,
+            // Nothing movable on this victim: exhaust it so the
+            // search cannot pick it again and spin.
+            _ => {
+                r.revisions = self.config.resilience.elastic.max_revisions;
+                return;
+            }
+        };
+        r.revisions += 1;
+        r.reservation = out.grant;
+        self.grant_reclaimed += out.delta;
+        // Re-price the rest of the query under the revised grant:
+        // same workload, same operator, smaller cache — placement
+        // and timing change, the answer cannot. Re-pricings go
+        // through the memo too: a repeat shrink to a grant already
+        // priced replays the identical report.
+        if let Ok(rep) = self.price(&r.query, &out.grant) {
+            let demand = ResourceDemand::from_report(&rep, r.build_cache_hit, probe_frac(&r.query));
+            let frac = if r.dedicated.0 > 0.0 {
+                (r.remaining / r.dedicated.0).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            r.remaining = demand.work.0 * frac + out.reclaim.0;
+            r.demand = demand.vector;
+            r.dedicated = demand.work;
+            r.report = rep;
+        } else {
+            // A shrunk re-run cannot OOM harder than the original;
+            // if it somehow does, keep the old pricing and only pay
+            // the reclaim time.
+            r.remaining += out.reclaim.0;
+        }
+        self.obs.revise(
+            r.id,
+            self.clock,
+            "shrink",
+            out.delta,
+            out.grant.reserved,
+            out.reclaim,
+            reason,
+        );
     }
 
     /// Admit queued queries in priority order while memory, the
@@ -991,25 +785,14 @@ impl Scheduler {
     /// were already found ineligible and the clock does not move inside
     /// an admit pass; only a re-enqueue can seat an eligible entry in
     /// scanned territory, which rewinds the cursor).
-    #[allow(clippy::too_many_arguments)]
-    fn admit_ready(
-        &self,
-        clock: Ns,
-        queue: &mut VecDeque<Queued>,
-        running: &mut Vec<Running>,
-        admission: &mut AdmissionController,
-        cache: &mut BuildCache,
-        costs: &mut CostCache,
-        outcomes: &mut Vec<(QueryId, Outcome)>,
-        obs: &mut Recorder,
-        grant_revisions: &mut u64,
-        grant_reclaimed: &mut Bytes,
-    ) {
+    fn admit_ready(&mut self) {
         let mut cursor = 0usize;
-        'admit: while running.len() < self.config.max_inflight {
+        while self.running.len() < self.config.max_inflight {
             // Highest-priority eligible entry (sleepers excluded) at or
-            // past the cursor.
-            let Some(off) = queue
+            // past the cursor, taken out while it is decided on.
+            let clock = self.clock;
+            let Some(off) = self
+                .queue
                 .iter()
                 .skip(cursor)
                 .position(|q| q.eligible_at.0 <= clock.0)
@@ -1018,23 +801,20 @@ impl Scheduler {
             };
             let pos = cursor + off;
             cursor = pos;
+            let Some(mut q) = self.queue.remove(pos) else {
+                break;
+            };
 
             // Deadline shedding: a query whose budget is already spent
             // queueing will miss it regardless — drop it now.
-            if let Some(deadline) = queue[pos].query.deadline {
-                let waited = clock - queue[pos].query.arrival;
+            if let Some(deadline) = q.query.deadline {
+                let waited = clock - q.query.arrival;
                 if waited.0 > deadline.0 {
-                    let Some(q) = queue.remove(pos) else { continue };
-                    let reason = RejectReason::DeadlineExceeded { deadline, waited };
-                    obs.shed(q.id, clock, &reason);
-                    outcomes.push((
+                    self.reject(
                         q.id,
-                        Outcome::Rejected {
-                            id: q.id,
-                            name: q.query.name.clone(),
-                            reason,
-                        },
-                    ));
+                        q.query,
+                        RejectReason::DeadlineExceeded { deadline, waited },
+                    );
                     continue;
                 }
             }
@@ -1044,151 +824,88 @@ impl Scheduler {
             // ladder in place — the CPU radix floor is zero, so descent
             // always terminates. A query too big for the *pristine*
             // machine is shed with the typed reason as always.
-            loop {
-                let floor = admission.min_reserve_of(&queue[pos].query, &self.hw);
-                if floor <= admission.capacity() {
-                    break;
-                }
-                let shrunk_by_fault = admission.capacity() < admission.initial_capacity();
-                if self.config.resilience.enabled && shrunk_by_fault {
-                    if let Some(op) = downgrade_operator(&queue[pos].query.op) {
-                        let from = queue[pos].query.op.label();
-                        queue[pos].query.op = op;
-                        queue[pos].fault.downgrades += 1;
-                        queue[pos].attempts_at_rung = 0;
-                        let (id, to) = (queue[pos].id, queue[pos].query.op.label());
-                        obs.downgrade(id, clock, from, to, "capacity-floor");
-                        continue;
-                    }
-                }
-                let Some(q) = queue.remove(pos) else {
-                    continue 'admit;
-                };
-                let reason = RejectReason::OverCapacity {
-                    needed: floor,
-                    capacity: admission.capacity(),
-                };
-                obs.shed(q.id, clock, &reason);
-                outcomes.push((
+            let mut floor = self.admission.min_reserve_of(&q.query, self.hw);
+            while floor > self.admission.capacity()
+                && self.config.resilience.enabled
+                && self.admission.capacity() < self.admission.initial_capacity()
+                && self.downgrade(&mut q, "capacity-floor")
+            {
+                floor = self.admission.min_reserve_of(&q.query, self.hw);
+            }
+            if floor > self.admission.capacity() {
+                let capacity = self.admission.capacity();
+                self.reject(
                     q.id,
-                    Outcome::Rejected {
-                        id: q.id,
-                        name: q.query.name.clone(),
-                        reason,
+                    q.query,
+                    RejectReason::OverCapacity {
+                        needed: floor,
+                        capacity,
                     },
-                ));
-                continue 'admit;
+                );
+                continue;
             }
 
-            let shrink = queue[pos].fault.grant_shrinks;
-            let id = queue[pos].id;
-            let reservation =
-                match admission.try_admit_shrunk(id, &queue[pos].query, &self.hw, shrink) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        // Backpressure: memory is busy. A query *without* a
-                        // deadline just waits for a completion (head-of-line
-                        // blocking is intentional: priority order is strict,
-                        // so a big high-priority query is not starved by
-                        // small ones slipping past it). Under the elastic
-                        // policy a deadline-holding arrival cannot afford
-                        // the wait: it reclaims running queries' optional
-                        // cache down to its own floor and retries once.
-                        let elastic = self.config.resilience.enabled
-                            && self.config.resilience.elastic.enabled;
-                        if !(elastic && queue[pos].query.deadline.is_some()) {
-                            break;
-                        }
-                        let floor = admission.min_reserve_of(&queue[pos].query, &self.hw);
-                        self.reclaim_cache(
-                            |a| floor.saturating_sub(a.available()),
-                            "burst-admission",
-                            clock,
-                            running,
-                            admission,
-                            costs,
-                            obs,
-                            grant_revisions,
-                            grant_reclaimed,
-                        );
-                        match admission.try_admit_shrunk(id, &queue[pos].query, &self.hw, shrink) {
-                            Ok(r) => r,
-                            Err(_) => break,
-                        }
-                    }
-                };
-            let Some(mut q) = queue.remove(pos) else {
-                // Unreachable (pos indexes a live entry); stop admitting
-                // rather than panic with the reservation held.
-                let _ = admission.release(id);
+            // Backpressure: memory is busy. A query *without* a deadline
+            // just waits for a completion (head-of-line blocking is
+            // intentional: priority order is strict, so a big
+            // high-priority query is not starved by small ones slipping
+            // past it). Under the elastic policy a deadline-holding
+            // arrival cannot afford the wait: it reclaims running
+            // queries' optional cache down to its own floor and retries
+            // once.
+            let shrink = q.fault.grant_shrinks;
+            let reservation = match self
+                .admission
+                .try_admit_shrunk(q.id, &q.query, self.hw, shrink)
+            {
+                Ok(r) => Some(r),
+                Err(_) if self.elastic() && q.query.deadline.is_some() => {
+                    self.reclaim_cache(|a| floor.saturating_sub(a.available()), "burst-admission");
+                    self.admission
+                        .try_admit_shrunk(q.id, &q.query, self.hw, shrink)
+                        .ok()
+                }
+                Err(_) => None,
+            };
+            let Some(reservation) = reservation else {
+                self.queue.insert(pos, q);
                 break;
             };
 
             // Build-side sharing: exact builds hit as always, and a
             // query over a sub-range of a resident build of the same
             // family rides the covering state ([`crate::BuildHit`]).
-            let r_bytes = q.query.workload.r.len() as u64 * TUPLE_BYTES;
-            let s_bytes = q.query.workload.s.len() as u64 * TUPLE_BYTES;
-            let range = q.query.build_range.unwrap_or(FULL_RANGE);
             let hit = match q.query.build_key {
                 Some(k) => {
-                    let served = cache.acquire_range(k, r_bytes, range);
-                    obs.build_cache(served, clock);
+                    let r_bytes = q.query.workload.r.len() as u64 * TUPLE_BYTES;
+                    let range = q.query.build_range.unwrap_or(FULL_RANGE);
+                    let served = self.cache.acquire_range(k, r_bytes, range);
+                    self.obs.build_cache(served, clock);
                     served.is_hit()
                 }
                 None => false,
             };
-            let probe_frac = s_bytes as f64 / (r_bytes + s_bytes).max(1) as f64;
 
-            // Functional dedicated run with the granted cache budget,
-            // memoized: a repeat (workload, grant) pricing replays the
-            // byte-identical report instead of re-running the operator.
-            let (h0, m0) = (costs.hits, costs.misses);
-            let priced = costs.price(&q.query, &reservation, &self.hw).0;
-            if costs.hits > h0 {
-                obs.cost_cache(true, clock);
-            } else if costs.misses > m0 {
-                obs.cost_cache(false, clock);
-            }
-            let report = match priced {
+            let report = match self.price(&q.query, &reservation) {
                 Ok(rep) => rep,
                 Err(e) => {
-                    let _ = admission.release(q.id);
-                    if let Some(k) = q.query.build_key {
-                        cache.release_range(k, range);
+                    self.release(q.id, &q.query);
+                    // OOM inside the operator: descend and retry
+                    // immediately (the radix floor never OOMs). The
+                    // requeued entry is eligible now and may land
+                    // anywhere in priority order: rescan.
+                    if self.config.resilience.enabled && self.downgrade(&mut q, "oom") {
+                        q.eligible_at = clock;
+                        self.enqueue(q);
+                        cursor = 0;
+                        continue;
                     }
-                    if self.config.resilience.enabled {
-                        if let Some(next) = downgrade_operator(&q.query.op) {
-                            // OOM inside the operator: descend and retry
-                            // immediately (the radix floor never OOMs).
-                            let from = q.query.op.label();
-                            q.query.op = next;
-                            q.fault.downgrades += 1;
-                            q.attempts_at_rung = 0;
-                            q.eligible_at = clock;
-                            obs.downgrade(q.id, clock, from, q.query.op.label(), "oom");
-                            enqueue(queue, q);
-                            // The requeued entry is eligible now and may
-                            // land anywhere in priority order: rescan.
-                            cursor = 0;
-                            continue;
-                        }
-                    }
-                    let reason = RejectReason::Oom(e);
-                    obs.shed(q.id, clock, &reason);
-                    outcomes.push((
-                        q.id,
-                        Outcome::Rejected {
-                            id: q.id,
-                            name: q.query.name.clone(),
-                            reason,
-                        },
-                    ));
+                    self.reject(q.id, q.query, RejectReason::Oom(e));
                     continue;
                 }
             };
 
-            obs.admit(
+            self.obs.admit(
                 q.id,
                 clock,
                 q.query.op.label(),
@@ -1197,8 +914,8 @@ impl Scheduler {
                 hit,
                 q.fault.grant_shrinks,
             );
-            let demand = ResourceDemand::from_report(&report, hit, probe_frac);
-            running.push(Running {
+            let demand = ResourceDemand::from_report(&report, hit, probe_frac(&q.query));
+            self.running.push(Running {
                 id: q.id,
                 start: clock,
                 remaining: demand.work.0,
@@ -1216,7 +933,233 @@ impl Scheduler {
                 query: q.query,
             });
         }
+        self.peak_concurrency = self.peak_concurrency.max(self.running.len());
     }
+
+    /// With nothing running and nothing left to arrive, jump the clock
+    /// to the earliest sleeping retry; false when none sleeps.
+    fn wake_sleeper(&mut self) -> bool {
+        let clock = self.clock;
+        let next_wake = self
+            .queue
+            .iter()
+            .map(|q| q.eligible_at.0)
+            .filter(|&t| t > clock.0)
+            .fold(f64::INFINITY, f64::min);
+        if next_wake.is_finite() {
+            self.clock = Ns(next_wake);
+        }
+        next_wake.is_finite()
+    }
+
+    /// Anything still queued can never start (no completions left to
+    /// free memory): shed it as over-capacity backlog.
+    fn shed_backlog(&mut self) {
+        while let Some(q) = self.queue.pop_front() {
+            let needed = self.admission.min_reserve_of(&q.query, self.hw);
+            let capacity = self.admission.capacity();
+            self.reject(
+                q.id,
+                q.query,
+                RejectReason::OverCapacity { needed, capacity },
+            );
+        }
+    }
+
+    /// Arbitrated speeds for the current in-flight set, priced on the
+    /// degraded machine (factors are piecewise-constant between fault
+    /// transitions, which bound every step), plus the gauge observation
+    /// at this decision point: allocator occupancy and aggregate
+    /// utilization priced off the same rates that drive the fluid state.
+    fn arbitrate(&mut self) -> Vec<f64> {
+        let link_factor = self.plan.link_factor(self.clock);
+        let cpu_factor = self.plan.cpu_factor(self.clock);
+        let loads: Vec<ResourceVector> = self
+            .running
+            .iter()
+            .map(|r| degraded_vector(r.demand, link_factor, cpu_factor))
+            .collect();
+        let weights: Vec<f64> = self.running.iter().map(|r| r.weight).collect();
+        let rates = fair_share_rates(&loads, &weights);
+        let util = aggregate_utilization(&loads, &rates);
+        let a = &self.admission;
+        self.obs.sample_gauges(
+            self.clock,
+            &GaugeSample {
+                gpu_used: a.reserved(),
+                gpu_capacity: a.capacity(),
+                gpu_requested: a.requested(),
+                gpu_fragmentation: a.fragmentation(),
+                gpu_occupancy_ppm: a.occupancy_ppm(),
+                link_util_ppm: utilization_ppm(util.link),
+                sm_util_ppm: utilization_ppm(util.compute),
+                gpu_mem_util_ppm: utilization_ppm(util.gpu_mem),
+                cpu_util_ppm: utilization_ppm(util.cpu),
+                running: self.running.len() as u64,
+                queued: self.queue.len() as u64,
+            },
+        );
+        rates
+    }
+
+    /// Time to the next completion, arrival wake, fault transition, or
+    /// retry wake.
+    fn time_to_next_event(&mut self, rates: &[f64]) -> f64 {
+        let clock = self.clock;
+        let t_complete = self
+            .running
+            .iter()
+            .zip(rates)
+            .map(|(r, &s)| r.remaining / s.max(1e-12))
+            .fold(f64::INFINITY, f64::min);
+        // Epoch batching: with work already in flight, the arrival
+        // wake is deferred to the k-th pending arrival (k =
+        // min(arrival_batch, pending)) so a burst is drained and
+        // admitted in one pass; completions, fault transitions, and
+        // retry wakes still fire on time and drain whatever is due.
+        // An idle machine (or batch = 1) wakes on the very next
+        // arrival — the classic loop, reproduced exactly.
+        let k = if self.running.is_empty() {
+            1
+        } else {
+            self.config.arrival_batch.max(1).min(self.arrivals.len())
+        };
+        let t_arrival = self
+            .arrivals
+            .get(k.saturating_sub(1))
+            .map_or(f64::INFINITY, |(_, q)| (q.arrival.0 - clock.0).max(0.0));
+        while self.transitions.next_if(|t| t.0 <= clock.0).is_some() {}
+        let t_fault = self
+            .transitions
+            .peek()
+            .map_or(f64::INFINITY, |t| t.0 - clock.0);
+        let t_wake = self
+            .queue
+            .iter()
+            .map(|q| q.eligible_at.0 - clock.0)
+            .filter(|&d| d > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        t_complete.min(t_arrival).min(t_fault).min(t_wake)
+    }
+
+    /// Advance the fluid state by `dt` at the arbitrated `rates`.
+    fn advance(&mut self, dt: f64, rates: &[f64]) {
+        if !self.running.is_empty() {
+            self.busy_time += dt;
+            self.weighted_conc += dt * self.running.len() as f64;
+        }
+        self.clock += Ns(dt);
+        for (r, &s) in self.running.iter_mut().zip(rates) {
+            r.remaining = (r.remaining - dt * s).max(0.0);
+        }
+    }
+
+    /// Arrivals due now land in the queue (or bounce off its limit);
+    /// under epoch batching the whole due batch lands here at once and
+    /// the next admit pass handles it in a single sweep.
+    fn land_arrivals(&mut self) {
+        let clock = self.clock;
+        while self
+            .arrivals
+            .front()
+            .is_some_and(|(_, q)| q.arrival.0 <= clock.0)
+        {
+            let Some((id, query)) = self.arrivals.pop_front() else {
+                break;
+            };
+            if self.queue.len() >= self.config.max_queue {
+                let limit = self.config.max_queue;
+                self.reject(id, query, RejectReason::QueueFull { limit });
+                continue;
+            }
+            self.obs.enqueue(id, &query, query.arrival);
+            let eligible_at = query.arrival;
+            self.enqueue(Queued {
+                id,
+                query,
+                eligible_at,
+                fault: FaultOutcome::default(),
+                attempts_at_rung: 0,
+            });
+        }
+    }
+
+    /// Retire every query whose remaining work ran out.
+    fn complete_finished(&mut self) {
+        let mut i = 0;
+        while i < self.running.len() {
+            if self.running[i].remaining > 1e-9 {
+                i += 1;
+                continue;
+            }
+            let r = self.running.swap_remove(i);
+            self.release(r.id, &r.query);
+            let c = CompletedQuery {
+                id: r.id,
+                name: r.query.name,
+                arrival: r.query.arrival,
+                start: r.start,
+                finish: self.clock,
+                dedicated: r.dedicated,
+                report: r.report,
+                reserved: r.reservation.reserved,
+                build_cache_hit: r.build_cache_hit,
+                operator: r.op_label,
+                fault: r.fault,
+            };
+            self.obs.complete(&c, self.hw);
+            self.outcomes.push((c.id, Outcome::Completed(Box::new(c))));
+        }
+    }
+
+    /// End the run: outcomes in submission order, metrics with each
+    /// number read from its one owner — the outcome scan, the admission
+    /// controller, the world's own totals, or the registry's event
+    /// counters.
+    fn finish(mut self) -> ServeResult {
+        self.outcomes.sort_by_key(|(id, _)| *id);
+        let outcomes: Vec<Outcome> = self.outcomes.into_iter().map(|(_, o)| o).collect();
+        let phases = self.obs.rollups();
+        let (trace, telemetry, slo) = self.obs.into_parts();
+        let count = |name: &str| telemetry.counter(name);
+        let a = &self.admission;
+        let metrics = SchedulerMetrics {
+            peak_gpu_reserved: a.peak_reserved,
+            gpu_capacity: a.initial_capacity(),
+            gpu_retired: a.initial_capacity().saturating_sub(a.capacity()),
+            peak_concurrency: self.peak_concurrency,
+            mean_concurrency: if self.busy_time > 0.0 {
+                self.weighted_conc / self.busy_time
+            } else {
+                0.0
+            },
+            build_cache_hits: count("sched.build_cache.exact_hit")
+                + count("sched.build_cache.prefix_hit"),
+            build_cache_prefix_hits: count("sched.build_cache.prefix_hit"),
+            build_cache_misses: count("sched.build_cache.miss"),
+            builds_quarantined: self.builds_quarantined,
+            faults_injected: count("sched.faults"),
+            grant_revisions: count("sched.grant_revisions"),
+            grant_reclaimed: self.grant_reclaimed,
+            cost_cache_hits: count("sched.cost_cache.hit"),
+            cost_cache_misses: count("sched.cost_cache.miss"),
+            ..SchedulerMetrics::from_outcomes(&outcomes, self.clock, phases)
+        };
+        ServeResult {
+            outcomes,
+            metrics,
+            trace,
+            telemetry,
+            slo,
+        }
+    }
+}
+
+/// Share of a query's input bytes on the probe side.
+fn probe_frac(query: &JoinQuery) -> f64 {
+    let r_bytes = query.workload.r.len() as u64 * TUPLE_BYTES;
+    let s_bytes = query.workload.s.len() as u64 * TUPLE_BYTES;
+    s_bytes as f64 / (r_bytes + s_bytes).max(1) as f64
 }
 
 #[cfg(test)]
@@ -1404,6 +1347,11 @@ mod tests {
             .run_with_faults(batch(2, 0.0), &plan);
         assert_eq!(res.metrics.shed_faulted, 1);
         assert_eq!(res.metrics.completed, 1);
+        // The two retry counts differ by definition: the metric is per
+        // outcome (the lost query's one retry), the registry counter per
+        // re-queue (none without resilience).
+        assert_eq!(res.metrics.retries, 1);
+        assert_eq!(res.telemetry.counter("sched.retries"), 0);
         let lost = res
             .outcomes
             .iter()
