@@ -357,7 +357,7 @@ mod tests {
     fn distinct_counts_unique_keys() {
         let hw = HwConfig::ac922().scaled(2048);
         let rel = skewed_input();
-        let mut uniq: Vec<u64> = rel.keys.clone();
+        let mut uniq: Vec<u64> = rel.keys.to_vec();
         uniq.sort_unstable();
         uniq.dedup();
         let (n, _) = gpu_distinct(&rel, &hw);

@@ -62,19 +62,18 @@ impl MultiGpuTritonJoin {
         // same hash bits that drive pass 1 drive placement, so each GPU's
         // sub-join is complete and disjoint.
         let owner = |key: u64| radix(multiply_shift(key), 0, b1) % g;
-        let mut shards: Vec<(Relation, Relation)> = (0..g)
-            .map(|_| (Relation::default(), Relation::default()))
-            .collect();
-        for (k, r) in w.r.iter() {
-            let s = &mut shards[owner(k)].0;
-            s.keys.push(k);
-            s.rids.push(r);
-        }
-        for (k, r) in w.s.iter() {
-            let s = &mut shards[owner(k)].1;
-            s.keys.push(k);
-            s.rids.push(r);
-        }
+        let split = |rel: &Relation| -> Vec<Relation> {
+            let mut cols = vec![(Vec::new(), Vec::new()); g];
+            for (k, r) in rel.iter() {
+                let (keys, rids) = &mut cols[owner(k)];
+                keys.push(k);
+                rids.push(r);
+            }
+            cols.into_iter()
+                .map(|(keys, rids)| Relation::from_columns(keys, rids))
+                .collect()
+        };
+        let shards: Vec<(Relation, Relation)> = split(&w.r).into_iter().zip(split(&w.s)).collect();
 
         // --- Per-GPU sub-joins (run in parallel across GPUs): reuse the
         // single-GPU plan per owned sub-workload. Its internal first pass

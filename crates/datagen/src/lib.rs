@@ -21,7 +21,7 @@ pub mod workload;
 pub use distributions::Zipf;
 pub use hash::{multiply_shift, radix, table_slot};
 pub use lcg::Lcg;
-pub use relation::{Relation, KEY_BYTES, PAYLOAD_BYTES, TUPLE_BYTES};
+pub use relation::{Column, Relation, KEY_BYTES, PAYLOAD_BYTES, TUPLE_BYTES};
 pub use rng::Rng;
 pub use tpch::{TpchQuery, TpchSpec, TpchWorkload};
 pub use workload::{Workload, WorkloadSpec, M};

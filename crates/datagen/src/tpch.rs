@@ -196,12 +196,12 @@ mod tests {
         assert_eq!(o.len(), spec.orders_tuples());
         assert_eq!(c.len(), spec.dimension_tuples());
         // customer keys are a permutation of 1..=n_d.
-        let mut ck = c.keys.clone();
+        let mut ck = c.keys.to_vec();
         ck.sort_unstable();
         assert_eq!(ck, (1..=c.len() as u64).collect::<Vec<_>>());
         // orders: custkey FK in range, orderkey a permutation.
         assert!(o.keys.iter().all(|&k| (1..=c.len() as u64).contains(&k)));
-        let mut ok = o.rids.clone();
+        let mut ok = o.rids.to_vec();
         ok.sort_unstable();
         assert_eq!(ok, (1..=o.len() as u64).collect::<Vec<_>>());
         // lineitem: orderkey FK in range.
@@ -213,10 +213,10 @@ mod tests {
         let spec = TpchSpec::q9(8, 512);
         let w = spec.generate();
         let (p, l, o) = (&w.inputs[0], &w.inputs[1], &w.inputs[2]);
-        let mut pk = p.keys.clone();
+        let mut pk = p.keys.to_vec();
         pk.sort_unstable();
         assert_eq!(pk, (1..=p.len() as u64).collect::<Vec<_>>());
-        let mut ok = o.keys.clone();
+        let mut ok = o.keys.to_vec();
         ok.sort_unstable();
         assert_eq!(ok, (1..=o.len() as u64).collect::<Vec<_>>());
         // lineitem: partkey FK as key, orderkey FK as rid.

@@ -123,15 +123,13 @@ impl WorkloadSpec {
             .collect();
         let s_rids: Vec<u64> = (0..n_s).map(|_| rng.next_u64()).collect();
 
-        let mut s = Relation::from_columns(s_keys, s_rids);
-        for _ in 0..self.payload_cols {
-            s.payload_cols
-                .push((0..n_s).map(|_| rng.next_u64()).collect());
-        }
+        let payload: Vec<Vec<u64>> = (0..self.payload_cols)
+            .map(|_| (0..n_s).map(|_| rng.next_u64()).collect())
+            .collect();
 
         Workload {
             r: Relation::from_columns(r_keys, r_rids),
-            s,
+            s: Relation::with_payload(s_keys, s_rids, payload),
             spec: self.clone(),
         }
     }

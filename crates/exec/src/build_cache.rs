@@ -76,6 +76,9 @@ struct Entry {
     refs: usize,
     /// Build-side bytes (reporting only; the state lives in CPU memory).
     r_bytes: u64,
+    /// Content digest of the R that built this state, when the caller
+    /// supplied one (debug builds); checks the `build_key` contract.
+    r_digest: Option<u128>,
 }
 
 impl BuildCache {
@@ -95,7 +98,7 @@ impl BuildCache {
     /// Acquire the build state for `key` over the full partition range,
     /// pinning it while the query runs. Returns `true` on a hit.
     pub fn acquire(&mut self, key: u64, r_bytes: u64) -> bool {
-        self.acquire_range(key, r_bytes, FULL_RANGE).is_hit()
+        self.acquire_range(key, r_bytes, FULL_RANGE, None).is_hit()
     }
 
     /// Acquire the build state for family `key` over the partition
@@ -105,15 +108,34 @@ impl BuildCache {
     /// covers this one serves the acquire as a [`BuildHit::Prefix`]. On
     /// a miss this query partitions its own range and leaves the state
     /// behind for followers.
-    pub fn acquire_range(&mut self, key: u64, r_bytes: u64, range: (u32, u32)) -> BuildHit {
+    ///
+    /// `r_digest` is the query's [`triton_datagen::Relation::digest`]
+    /// of R, or `None` to skip the check: a full-range exact hit must
+    /// carry the same R as the resident build (debug assertion).
+    pub fn acquire_range(
+        &mut self,
+        key: u64,
+        r_bytes: u64,
+        range: (u32, u32),
+        r_digest: Option<u128>,
+    ) -> BuildHit {
+        let fresh = Entry {
+            refs: 1,
+            r_bytes,
+            r_digest,
+        };
         if self.quarantined.remove(&key) {
             // Breaker half-open: this query rebuilds the partitioned
             // state from scratch; followers may share the fresh copy.
-            self.entries
-                .insert((key, range.0, range.1), Entry { refs: 1, r_bytes });
+            self.entries.insert((key, range.0, range.1), fresh);
             return BuildHit::Miss;
         }
         if let Some(e) = self.entries.get_mut(&(key, range.0, range.1)) {
+            debug_assert!(
+                range != FULL_RANGE
+                    || !matches!((e.r_digest, r_digest), (Some(a), Some(b)) if a != b),
+                "build family {key:#x}: full-range hit on a different R than the resident build"
+            );
             e.refs += 1;
             return BuildHit::Exact;
         }
@@ -123,8 +145,7 @@ impl BuildCache {
             }
             return BuildHit::Prefix;
         }
-        self.entries
-            .insert((key, range.0, range.1), Entry { refs: 1, r_bytes });
+        self.entries.insert((key, range.0, range.1), fresh);
         BuildHit::Miss
     }
 
@@ -206,8 +227,8 @@ mod tests {
     fn first_is_miss_then_hits() {
         let mut c = BuildCache::new();
         assert!(!c.acquire(7, 1000));
-        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Exact);
-        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Exact);
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE, None), BuildHit::Exact);
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE, None), BuildHit::Exact);
         assert!(!c.acquire(8, 500));
         assert_eq!(c.len(), 2);
     }
@@ -215,16 +236,16 @@ mod tests {
     #[test]
     fn sub_range_reuses_the_covering_build() {
         let mut c = BuildCache::new();
-        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Miss);
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE, None), BuildHit::Miss);
         // A slice of the same family rides the resident full build.
-        assert_eq!(c.acquire_range(7, 250, (0, 64)), BuildHit::Prefix);
-        assert_eq!(c.acquire_range(7, 500, (64, 192)), BuildHit::Prefix);
+        assert_eq!(c.acquire_range(7, 250, (0, 64), None), BuildHit::Prefix);
+        assert_eq!(c.acquire_range(7, 500, (64, 192), None), BuildHit::Prefix);
         // Repeating the full range is an exact hit, not a prefix.
-        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Exact);
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE, None), BuildHit::Exact);
         // A different family never matches.
-        assert_eq!(c.acquire_range(8, 250, (0, 64)), BuildHit::Miss);
+        assert_eq!(c.acquire_range(8, 250, (0, 64), None), BuildHit::Miss);
         // A *superset* of a resident slice is not covered: it rebuilds.
-        assert_eq!(c.acquire_range(8, 500, (0, 128)), BuildHit::Miss);
+        assert_eq!(c.acquire_range(8, 500, (0, 128), None), BuildHit::Miss);
         // Only builds that actually ran left entries behind.
         assert_eq!(c.len(), 3);
     }
@@ -232,9 +253,9 @@ mod tests {
     #[test]
     fn prefix_pins_the_covering_entry() {
         let mut c = BuildCache::new();
-        c.acquire_range(7, 1000, FULL_RANGE);
+        c.acquire_range(7, 1000, FULL_RANGE, None);
         c.release_range(7, FULL_RANGE);
-        assert_eq!(c.acquire_range(7, 250, (0, 64)), BuildHit::Prefix);
+        assert_eq!(c.acquire_range(7, 250, (0, 64), None), BuildHit::Prefix);
         // The covering full-range entry is pinned by the slice reader.
         assert_eq!(c.evict_idle(), 0);
         c.release_range(7, (0, 64));
@@ -256,24 +277,48 @@ mod tests {
         assert!(!c.acquire(7, 1000), "quarantined key must rebuild");
         assert!(!c.is_quarantined(7), "rebuild closes the breaker");
         // Followers share the rebuilt state again.
-        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Exact);
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE, None), BuildHit::Exact);
     }
 
     #[test]
     fn quarantine_blocks_sub_range_reuse_family_wide() {
         let mut c = BuildCache::new();
-        c.acquire_range(7, 1000, FULL_RANGE);
+        c.acquire_range(7, 1000, FULL_RANGE, None);
         assert_eq!(c.quarantine_all(), 1);
         // The slice may not trust any of the family's torn state; its
         // rebuild closes the breaker for the family.
-        assert_eq!(c.acquire_range(7, 250, (0, 64)), BuildHit::Miss);
+        assert_eq!(c.acquire_range(7, 250, (0, 64), None), BuildHit::Miss);
         assert!(
             !c.is_quarantined(7),
             "the slice's rebuild closes the breaker"
         );
         // The full build is gone, so a full query must rebuild too (the
         // slice's fresh state does not cover it).
-        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE), BuildHit::Miss);
+        assert_eq!(c.acquire_range(7, 1000, FULL_RANGE, None), BuildHit::Miss);
+    }
+
+    #[test]
+    fn full_range_hits_on_the_same_r_pass_the_contract_check() {
+        let mut c = BuildCache::new();
+        assert_eq!(
+            c.acquire_range(7, 1000, FULL_RANGE, Some(1)),
+            BuildHit::Miss
+        );
+        assert_eq!(
+            c.acquire_range(7, 1000, FULL_RANGE, Some(1)),
+            BuildHit::Exact
+        );
+        // A slice of the family legitimately carries a different R.
+        assert_eq!(c.acquire_range(7, 250, (0, 64), Some(2)), BuildHit::Prefix);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "different R")]
+    fn full_range_hit_on_a_different_r_breaks_the_contract() {
+        let mut c = BuildCache::new();
+        c.acquire_range(7, 1000, FULL_RANGE, Some(1));
+        c.acquire_range(7, 1000, FULL_RANGE, Some(2));
     }
 
     #[test]

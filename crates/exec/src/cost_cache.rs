@@ -12,13 +12,16 @@
 //!
 //! # Key and invalidation
 //!
-//! The fingerprint hashes the *actual relation columns* (two probe
-//! batches share `R` and a spec but differ in `S`, and must not
-//! collide), the workload spec, and the granted operator's full
-//! configuration (cache grant included — the same query under a
-//! different grant runs a different placement). Plan operators bypass
-//! the cache: their inputs live in the plan itself and their footprint
-//! analyses are memoized separately
+//! The fingerprint covers the workload's relations (two probe batches
+//! share `R` and a spec but differ in `S`, and must not collide), the
+//! workload spec, and the granted operator's full configuration (cache
+//! grant included — the same query under a different grant runs a
+//! different placement). Relations enter through their content digests
+//! ([`triton_datagen::Relation::digest`]): columns are immutable and
+//! shared, so each column is digested once and a key costs O(1) in the
+//! relation sizes, while equal content in separate allocations still
+//! keys equal. Plan operators bypass the cache: their inputs live in
+//! the plan itself and their footprint analyses are memoized separately
 //! ([`triton_plan::FootprintCache`]). Only successful runs are cached —
 //! an OOM depends on the grant under which it happened and must be
 //! re-observed, never replayed. ECC retirement flushes the cache
@@ -74,11 +77,11 @@ impl CostCache {
     /// Fingerprint a query under its grant; `None` when this query's
     /// pricing is not cacheable (plan operators).
     ///
-    /// The relation columns dominate the input, so they are mixed a
-    /// whole `u64` lane at a time (a splitmix-style multiply-xorshift
-    /// per word and lane) — fingerprinting must stay well under the
-    /// pricing run it can replace, or the memo would cost more than it
-    /// saves on sustained load.
+    /// The relation columns dominate the input, but they are immutable
+    /// and content-addressed ([`triton_datagen::Column`]): each column's
+    /// digest is computed once, on its first pricing, and shared by
+    /// every clone of the workload. A key therefore costs two cached
+    /// digests plus a short string — O(1) in the relation sizes.
     pub fn key(query: &JoinQuery, granted: &Operator) -> Option<CostKey> {
         if matches!(query.op, Operator::Plan(_)) {
             return None;
@@ -88,22 +91,13 @@ impl CostCache {
             let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             x ^ (x >> 29)
         }
-        let mut lo = 0xcbf2_9ce4_8422_2325u64;
-        let mut hi = 0x6c62_272e_07bb_0142u64;
-        let mut eat_u64s = |vals: &[u64]| {
-            // Length first: concatenation across columns cannot alias.
-            lo = mix(lo, vals.len() as u64);
-            hi = mix(hi, (vals.len() as u64).rotate_left(17));
-            for &v in vals {
-                lo = mix(lo, v);
-                hi = mix(hi, v.rotate_left(17));
-            }
-        };
         let w = &query.workload;
-        eat_u64s(&w.r.keys);
-        eat_u64s(&w.r.rids);
-        eat_u64s(&w.s.keys);
-        eat_u64s(&w.s.rids);
+        let (r, s) = (w.r.digest(), w.s.digest());
+        let mut lo = mix(mix(0xcbf2_9ce4_8422_2325, r as u64), s as u64);
+        let mut hi = mix(
+            mix(0x6c62_272e_07bb_0142, (r >> 64) as u64),
+            (s >> 64) as u64,
+        );
         // The granted operator's debug encoding covers every field that
         // shapes execution (algorithms, hash scheme, skew and elastic
         // policies, and the grant-dependent cache budget), and the spec
@@ -172,7 +166,7 @@ impl CostCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triton_datagen::WorkloadSpec;
+    use triton_datagen::{Relation, Workload, WorkloadSpec};
     use triton_hw::units::{Bytes, Ns};
     use triton_hw::HwConfig;
 
@@ -219,6 +213,77 @@ mod tests {
         assert_eq!(c.len(), 3);
         c.flush();
         assert!(c.is_empty());
+    }
+
+    /// Key of a default Triton query over `r ⋈ s`.
+    fn key_of(r: Relation, s: Relation) -> CostKey {
+        let spec = WorkloadSpec::paper_default(2, 2048);
+        let q = JoinQuery::new("t", Workload { r, s, spec }, Ns::ZERO);
+        CostCache::key(&q, &q.op).unwrap()
+    }
+
+    #[test]
+    fn keys_are_content_addressed_not_pointer_addressed() {
+        let q = query(1);
+        let copy_of = |r: &Relation| Relation::from_columns(r.keys.to_vec(), r.rids.to_vec());
+        let mut copy = q.clone();
+        copy.workload.r = copy_of(&q.workload.r);
+        copy.workload.s = copy_of(&q.workload.s);
+        assert_ne!(copy.workload.r.keys.as_ptr(), q.workload.r.keys.as_ptr());
+        assert_eq!(
+            CostCache::key(&copy, &copy.op),
+            CostCache::key(&q, &q.op),
+            "equal content in separate allocations keys equal"
+        );
+    }
+
+    #[test]
+    fn one_changed_word_in_any_column_changes_the_key() {
+        let rel = |k: u64, r: u64, p: u64| {
+            Relation::with_payload(vec![1, k, 3], vec![10, r, 30], vec![vec![7, p, 9]])
+        };
+        let s = || Relation::from_columns(vec![1, 2], vec![5, 6]);
+        let base = key_of(rel(2, 20, 8), s());
+        assert_eq!(key_of(rel(2, 20, 8), s()), base);
+        assert_ne!(key_of(rel(4, 20, 8), s()), base, "keys column");
+        assert_ne!(key_of(rel(2, 21, 8), s()), base, "rids column");
+        assert_ne!(key_of(rel(2, 20, 0), s()), base, "payload column");
+        assert_ne!(key_of(s(), rel(2, 20, 8)), base, "sides swapped");
+    }
+
+    #[test]
+    fn moving_a_column_boundary_changes_the_key() {
+        // The same word stream 1..=6 split at a different R|S boundary.
+        let a = key_of(
+            Relation::from_columns(vec![1, 2], vec![3, 4]),
+            Relation::from_columns(vec![5], vec![6]),
+        );
+        let b = key_of(
+            Relation::from_columns(vec![1], vec![2]),
+            Relation::from_columns(vec![3, 4], vec![5, 6]),
+        );
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn clones_share_columns_and_their_digest() {
+        let q = query(1);
+        let copy = q.clone();
+        let (w, c) = (&q.workload, &copy.workload);
+        for (a, b) in [
+            (&w.r.keys, &c.r.keys),
+            (&w.r.rids, &c.r.rids),
+            (&w.s.keys, &c.s.keys),
+            (&w.s.rids, &c.s.rids),
+        ] {
+            assert_eq!(a.as_ptr(), b.as_ptr(), "a clone copies no column");
+            assert_eq!(b.cached_digest(), None, "digests are lazy");
+        }
+        let k = CostCache::key(&q, &q.op);
+        // Keying the original digested the columns the clone shares.
+        assert!(c.s.rids.cached_digest().is_some());
+        assert_eq!(c.s.rids.cached_digest(), w.s.rids.cached_digest());
+        assert_eq!(CostCache::key(&copy, &copy.op), k);
     }
 
     #[test]

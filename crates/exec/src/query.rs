@@ -99,9 +99,8 @@ impl Operator {
 pub struct JoinQuery {
     /// Human-readable tag (tenant, statement id, ...).
     pub name: String,
-    /// The workload to join. Queries sharing a build relation should carry
-    /// the same `build_key` and byte-identical `w.r` (see
-    /// [`JoinQuery::probe_batch`]).
+    /// The workload to join. Its columns are shared, not copied, by
+    /// clones of the query.
     pub workload: Workload,
     /// Operator choice.
     pub op: Operator,
@@ -115,7 +114,13 @@ pub struct JoinQuery {
     /// Simulated arrival time.
     pub arrival: Ns,
     /// Cache key identifying the build relation *family* for build-side
-    /// sharing; `None` disables sharing for this query.
+    /// sharing; `None` disables sharing for this query. A family names
+    /// one base R: full-range queries of a family must carry
+    /// byte-identical `workload.r` (see [`JoinQuery::probe_batch`]), which
+    /// debug builds check on every full-range build-cache hit. A family
+    /// may still hold several R contents, because each
+    /// [`JoinQuery::probe_slice`] keeps only its `build_range` of the
+    /// base R; the key is therefore the caller's, not a digest of R.
     pub build_key: Option<u64>,
     /// Radix-partition range (half-open, within
     /// `0..1 << BUILD_RADIX_BITS`) of the build side within its family;

@@ -879,7 +879,8 @@ impl<'a> World<'a> {
                 Some(k) => {
                     let r_bytes = q.query.workload.r.len() as u64 * TUPLE_BYTES;
                     let range = q.query.build_range.unwrap_or(FULL_RANGE);
-                    let served = self.cache.acquire_range(k, r_bytes, range);
+                    let r_digest = cfg!(debug_assertions).then(|| q.query.workload.r.digest());
+                    let served = self.cache.acquire_range(k, r_bytes, range, r_digest);
                     self.obs.build_cache(served, clock);
                     served.is_hit()
                 }

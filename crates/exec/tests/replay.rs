@@ -15,12 +15,21 @@ use triton_hw::HwConfig;
 
 /// The batch in canonical arrival order: distinct arrival times, mixed
 /// priorities, and a shared build key so the build cache participates.
+/// The sharing queries are probe batches over one build relation, as
+/// the `build_key` contract requires.
 fn batch() -> Vec<JoinQuery> {
+    let spec = WorkloadSpec::paper_default(32, 512);
+    let base = spec.generate();
     (0..6)
         .map(|i| {
-            let mut spec = WorkloadSpec::paper_default(32, 512);
-            spec.seed ^= i as u64;
-            let mut q = JoinQuery::new(format!("r{i}"), spec.generate(), Ns(i as f64 * 1e5));
+            let w = if i % 2 == 0 {
+                JoinQuery::probe_batch(&base, i as u64)
+            } else {
+                let mut spec = spec.clone();
+                spec.seed ^= i as u64;
+                spec.generate()
+            };
+            let mut q = JoinQuery::new(format!("r{i}"), w, Ns(i as f64 * 1e5));
             q.priority = 1 + (i % 3) as u32;
             if i % 2 == 0 {
                 q.build_key = Some(7);
