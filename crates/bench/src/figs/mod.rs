@@ -20,7 +20,6 @@ pub mod fig_elastic;
 pub mod fig_serve;
 pub mod fig_skew;
 pub mod fig_tpch;
-pub mod serve_load;
 pub mod table1;
 
 /// The paper's default workload sizes in modeled million tuples.

@@ -4,7 +4,9 @@
 //! evaluation (Section 6), each exposing a typed `run(...)` function that
 //! regenerates the figure's rows over the simulated hardware, plus a
 //! printer. Thin binaries under `src/bin/` drive them; integration tests
-//! call the same functions and assert the paper's shapes.
+//! call the same functions and assert the paper's shapes. The committed
+//! `BENCH_*.json` sweeps are declared once each in [`sweep`] form and
+//! written and gated by the one `sweep` binary.
 //!
 //! All experiments honour the `TRITON_SCALE` environment variable (the
 //! capacity scale factor K; default 512). Axis labels stay in the paper's
@@ -17,7 +19,7 @@
 
 pub mod figs;
 pub mod json;
-pub mod micro;
+pub mod sweep;
 
 use triton_hw::HwConfig;
 

@@ -198,6 +198,8 @@ impl SchedulerMetrics {
                             shed_faulted += 1;
                             retries += u64::from(*r);
                         }
+                        // Counted in `rejected` only: no run shed it.
+                        RejectReason::InvalidArrival { .. } => {}
                     }
                 }
             }

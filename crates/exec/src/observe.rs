@@ -75,6 +75,7 @@ fn reject_kind(reason: &RejectReason) -> &'static str {
         RejectReason::Oom(_) => "oom",
         RejectReason::DeadlineExceeded { .. } => "deadline",
         RejectReason::Faulted { .. } => "faulted",
+        RejectReason::InvalidArrival { .. } => "invalid-arrival",
     }
 }
 

@@ -105,6 +105,12 @@ pub enum RejectReason {
         /// Transient retries consumed before the query was lost.
         retries: u32,
     },
+    /// The query's arrival time is NaN or infinite, so it can never land
+    /// on the timeline.
+    InvalidArrival {
+        /// The non-finite arrival.
+        arrival: Ns,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -120,6 +126,9 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::Faulted { fault, retries } => {
                 write!(f, "lost to {fault} after {retries} retries")
+            }
+            RejectReason::InvalidArrival { arrival } => {
+                write!(f, "arrival {arrival} is not a finite time")
             }
         }
     }
@@ -451,17 +460,18 @@ impl<'a> World<'a> {
         plan: &'a FaultPlan,
         queries: Vec<JoinQuery>,
     ) -> Self {
-        let mut arrivals: Vec<(QueryId, JoinQuery)> = queries
+        // A NaN or infinite arrival never lands on the timeline; it is
+        // rejected up front so every query still gets one outcome.
+        let (mut arrivals, invalid): (Vec<_>, Vec<_>) = queries
             .into_iter()
             .enumerate()
             .map(|(i, q)| (QueryId(i as u64), q))
-            .collect();
-        // Stable by arrival time (total order — NaN arrivals cannot
-        // scramble the timeline); ids preserve submission order.
+            .partition(|(_, q)| q.arrival.0.is_finite());
+        // Stable by arrival time; ids preserve submission order.
         arrivals.sort_by(|a, b| a.1.arrival.0.total_cmp(&b.1.arrival.0));
         let mut admission = AdmissionController::new(hw);
         admission.set_plan_caching(config.cost_caching);
-        World {
+        let mut world = World {
             hw,
             config,
             plan,
@@ -482,7 +492,12 @@ impl<'a> World<'a> {
             peak_concurrency: 0,
             busy_time: 0.0,
             weighted_conc: 0.0,
+        };
+        for (id, query) in invalid {
+            let arrival = query.arrival;
+            world.reject(id, query, RejectReason::InvalidArrival { arrival });
         }
+        world
     }
 
     /// Whether faults shrink grants in place before revoking anyone.

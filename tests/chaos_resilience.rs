@@ -65,8 +65,9 @@ fn assert_exact(queries: &[JoinQuery], outcomes: &[Outcome]) {
 /// The ISSUE acceptance scenario: the link degraded to 50% for the whole
 /// run, a quarter of GPU memory retired mid-run, plus one kernel fault.
 /// The resilient scheduler must complete at least as many queries as the
-/// fault-free serial baseline, with zero wrong results, while the
-/// no-resilience path sheds strictly more on the same plan.
+/// fault-free serial baseline, with zero wrong results and no query lost
+/// to a fault, while the no-resilience path sheds strictly more on the
+/// same plan.
 #[test]
 fn degraded_machine_beats_no_resilience_with_exact_results() {
     let n = 6;
@@ -117,6 +118,10 @@ fn degraded_machine_beats_no_resilience_with_exact_results() {
         resilient.metrics.retries + resilient.metrics.downgrades + resilient.metrics.revocations
             > 0,
         "recovery actions must be visible in the metrics"
+    );
+    assert_eq!(
+        resilient.metrics.shed_faulted, 0,
+        "the recovery ladder must absorb every fault"
     );
 }
 

@@ -161,6 +161,36 @@ fn over_capacity_submissions_shed_with_typed_errors() {
 }
 
 #[test]
+fn non_finite_arrivals_are_rejected_typed() {
+    // A NaN arrival used to spin the event loop forever and an infinite
+    // one used to end the run without its outcome. Each must be rejected
+    // up front while a valid query still completes exactly.
+    let mut queries = tenants(4, 16);
+    for (q, at) in queries[1..]
+        .iter_mut()
+        .zip([f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
+    {
+        q.arrival = Ns(at);
+    }
+    let expected = reference_join(&queries[0].workload);
+    let res = Scheduler::new(hw(), SchedulerConfig::default()).run(queries);
+    assert_eq!(res.outcomes.len(), 4, "every query needs one outcome");
+    assert_eq!((res.metrics.completed, res.metrics.rejected), (1, 3));
+    let c = res.outcomes[0]
+        .completed()
+        .expect("the valid query completes");
+    assert_eq!(c.report.result, expected);
+    for o in &res.outcomes[1..] {
+        let reason = o.rejection().expect("a non-finite arrival is rejected");
+        assert!(
+            matches!(reason, RejectReason::InvalidArrival { arrival } if !arrival.0.is_finite()),
+            "expected InvalidArrival, got {reason:?}"
+        );
+    }
+    assert_eq!(res.metrics.shed_deadline + res.metrics.shed_capacity, 0);
+}
+
+#[test]
 fn queue_limit_applies_backpressure() {
     let res = Scheduler::new(
         hw(),
