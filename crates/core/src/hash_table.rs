@@ -114,6 +114,29 @@ impl BucketChainTable {
         })
     }
 
+    /// Walk `key`'s chain once: call `on_match` with the rid of every
+    /// match, in [`Self::probe_all`] order, and return the step count
+    /// [`Self::probe`] reports (bucket head plus the links up to the
+    /// first match, or the whole chain when there is none).
+    pub fn probe_each(&self, key: u64, mut on_match: impl FnMut(u64)) -> u32 {
+        let h = ((multiply_shift(key) >> self.skip_bits) & self.mask) as usize;
+        let mut cur = self.buckets[h];
+        let mut steps = 1; // bucket head access
+        let mut found = false;
+        while cur != 0 {
+            let i = (cur - 1) as usize;
+            if !found {
+                steps += 1;
+            }
+            if self.keys[i] == key {
+                found = true;
+                on_match(self.rids[i]);
+            }
+            cur = self.next[i];
+        }
+        steps
+    }
+
     /// Bytes this table occupies (buckets + chain + tuple columns).
     pub fn bytes(&self) -> u64 {
         (self.buckets.len() * 4 + self.next.len() * 4 + self.keys.len() * 16) as u64
@@ -266,6 +289,24 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, vec![1, 2, 3]);
         assert_eq!(t.probe_all(9).count(), 0);
+    }
+
+    #[test]
+    fn probe_each_matches_probe_and_probe_all() {
+        // Duplicates, uniques and a small bucket array so chains are long.
+        let keys: Vec<u64> = (1..=300).chain([7, 7, 42]).collect();
+        let rids: Vec<u64> = (0..keys.len() as u64).collect();
+        let t = BucketChainTable::build(&keys, &rids, 16, 0);
+        for k in [1, 7, 42, 150, 300, 301, 9999] {
+            let mut seen = Vec::new();
+            let steps = t.probe_each(k, |r| seen.push(r));
+            assert_eq!(steps, t.probe(k).1, "steps for key {k}");
+            assert_eq!(
+                seen,
+                t.probe_all(k).collect::<Vec<_>>(),
+                "matches for key {k}"
+            );
+        }
     }
 
     #[test]

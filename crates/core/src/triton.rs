@@ -179,14 +179,13 @@ fn join_one(
     let table = BucketChainTable::build(rk, rr, BUCKET_CHAIN_ENTRIES, skip_bits);
     let mut chain_steps = 0u64;
     for (&k, &srid) in sk.iter().zip(sr) {
-        let (_, steps) = table.probe(k);
-        chain_steps += steps.saturating_sub(2) as u64;
-        for rrid in table.probe_all(k) {
+        let steps = table.probe_each(k, |rrid| {
             out.add(rrid, srid);
             if let Some(s) = sink.as_mut() {
                 s.push((k, rrid, srid));
             }
-        }
+        });
+        chain_steps += steps.saturating_sub(2) as u64;
     }
     chain_steps
 }

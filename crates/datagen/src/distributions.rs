@@ -8,11 +8,18 @@
 //! same way the paper's cache sweeps do — some partitions become much
 //! larger than planned.
 
-use crate::rng::Rng;
+use crate::rng::{Rng, UNIT_53};
 
-/// A Zipf(θ) sampler over `1..=n` using the classic CDF-inversion with a
-/// precomputed harmonic table for small `n` and rejection-free binary
-/// search.
+/// A Zipf(θ) sampler over `1..=n` by CDF inversion: value `k` has
+/// probability proportional to `1 / k^θ`.
+///
+/// A draw is the first CDF entry at or above a uniform `u`, found in
+/// constant expected time through a guide table (Chen & Asau's indexed
+/// search). The table splits `[0, 1)` into `m = n.next_power_of_two()`
+/// equal buckets; the top bits of the 53-bit draw name the bucket, and
+/// its two guide entries bracket the answer, so a binary search over the
+/// bracket returns exactly what a search over the whole CDF would (see
+/// `DESIGN.md` §5, "Exact Zipf sampling").
 ///
 /// ```
 /// use triton_datagen::Zipf;
@@ -25,6 +32,12 @@ use crate::rng::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]`: the first index `i` with `cdf[i] >= t_j`, capped at
+    /// `n - 1`, where `t_j = (j << shift) * 2^-53` is the smallest
+    /// uniform in bucket `j`. `m + 1` entries.
+    guide: Vec<u32>,
+    /// `53 - log2(m)`: a 53-bit draw's bucket is `x >> shift`.
+    shift: u32,
 }
 
 impl Zipf {
@@ -33,6 +46,7 @@ impl Zipf {
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n >= 1, "domain must be non-empty");
         assert!(theta >= 0.0, "theta must be non-negative");
+        assert!(u32::try_from(n - 1).is_ok(), "domain exceeds u32 indices");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -43,15 +57,34 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+
+        // One merge pass: bucket starts and CDF entries both ascend.
+        let m = n.next_power_of_two();
+        let shift = 53 - m.trailing_zeros();
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut i = 0;
+        for j in 0..=m as u64 {
+            let t = (j << shift) as f64 * UNIT_53;
+            while i < n - 1 && cdf[i] < t {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Zipf { cdf, guide, shift }
     }
 
     /// Sample one value in `1..=n`.
     pub fn sample(&self, rng: &mut Rng) -> u64 {
-        let u: f64 = rng.next_f64();
-        // First index with cdf >= u.
-        let mut lo = 0usize;
-        let mut hi = self.cdf.len() - 1;
+        self.index(rng.next_u53()) + 1
+    }
+
+    /// Zero-based index drawn by the 53-bit uniform `x`: the first `i`
+    /// with `cdf[i] >= x * 2^-53`, capped at `n - 1`.
+    fn index(&self, x: u64) -> u64 {
+        let u = x as f64 * UNIT_53;
+        let j = (x >> self.shift) as usize;
+        let mut lo = self.guide[j] as usize;
+        let mut hi = self.guide[j + 1] as usize;
         while lo < hi {
             let mid = (lo + hi) / 2;
             if self.cdf[mid] < u {
@@ -60,7 +93,7 @@ impl Zipf {
                 hi = mid;
             }
         }
-        lo as u64 + 1
+        lo as u64
     }
 
     /// Domain size.
@@ -72,6 +105,70 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole-CDF binary search the guide table replaced: the first
+    /// index with `cdf >= u`, or `n - 1` when there is none.
+    fn oracle(z: &Zipf, x: u64) -> u64 {
+        let u = x as f64 * UNIT_53;
+        let mut lo = 0usize;
+        let mut hi = z.cdf.len() - 1;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if z.cdf[mid] < u {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo as u64
+    }
+
+    #[test]
+    fn guided_draws_equal_full_search() {
+        for n in [1, 2, 3, 7, 1000, 62_500, 500_000] {
+            for theta in [0.0, 0.25, 1.0, 1.5, 3.0, 50.0] {
+                let z = Zipf::new(n, theta);
+                let mut rng = Rng::seed_from_u64(n as u64);
+                for _ in 0..100_000 {
+                    let x = rng.next_u53();
+                    assert_eq!(z.index(x), oracle(&z, x), "n {n} theta {theta} x {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn guided_draws_equal_full_search_at_bucket_edges() {
+        let top = (1u64 << 53) - 1;
+        for n in [1, 2, 3, 7, 1000] {
+            for theta in [0.0, 0.25, 1.0, 1.5, 3.0, 50.0] {
+                let z = Zipf::new(n, theta);
+                let m = z.guide.len() as u64 - 1;
+                let edges = (0..m).flat_map(|j| [j << z.shift, ((j + 1) << z.shift) - 1]);
+                for x in [0, 1, 1 << 52, top].into_iter().chain(edges) {
+                    assert_eq!(z.index(x), oracle(&z, x), "n {n} theta {theta} x {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_cdf_keeps_returning_one() {
+        let z = Zipf::new(1000, 50.0);
+        let mut rng = Rng::seed_from_u64(5);
+        assert!((0..100_000).all(|_| z.sample(&mut rng) == 1));
+    }
+
+    #[test]
+    fn sample_consumes_the_bits_next_f64_uses() {
+        let z = Zipf::new(1000, 1.0);
+        let (mut a, mut b) = (Rng::seed_from_u64(6), Rng::seed_from_u64(6));
+        for _ in 0..1000 {
+            let u = b.next_f64();
+            let want = z.cdf.iter().position(|&c| c >= u).unwrap_or(999) as u64 + 1;
+            assert_eq!(z.sample(&mut a), want);
+        }
+    }
     #[test]
     fn samples_within_domain() {
         let z = Zipf::new(100, 0.9);

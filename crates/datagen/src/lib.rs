@@ -2,8 +2,9 @@
 //!
 //! Workload generation for the Triton-join reproduction, following the
 //! paper's Section 6.1: columnar relations of 16-byte `<key, record-id>`
-//! tuples, R carrying shuffled unique primary keys and S uniform foreign
-//! keys; build-to-probe ratio and wide-tuple variants; the multiply-shift
+//! tuples, R carrying shuffled unique primary keys and S uniform (or
+//! Zipf-skewed) foreign keys; build-to-probe ratio and wide-tuple
+//! variants; TPC-H-shaped Q3/Q9 relation sets; the multiply-shift
 //! hash family; and the full-period LCG driving the random-access
 //! microbenchmarks.
 

@@ -7,6 +7,10 @@
 //! number generators"). Deterministic for a given seed, which every
 //! workload spec relies on for reproducibility.
 
+/// `2^-53`: scales a [`Rng::next_u53`] draw into `[0, 1)`. Both factors
+/// are exact, so the product is the exact value `x / 2^53`.
+pub(crate) const UNIT_53: f64 = 1.0 / (1u64 << 53) as f64;
+
 /// SplitMix64 step: used to expand a 64-bit seed into xoshiro state.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -62,10 +66,19 @@ impl Rng {
         result
     }
 
+    /// Uniform integer in `[0, 2^53)`: the top 53 bits of one
+    /// [`Self::next_u64`] draw, exactly the bits [`Self::next_f64`]
+    /// scales by `2^-53`. Samplers that need the draw as both an
+    /// integer and a float call this once and scale it themselves.
+    #[inline]
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
     /// Uniform `f64` in `[0, 1)` (53 mantissa bits).
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.next_u53() as f64 * UNIT_53
     }
 
     /// Uniform integer in the inclusive range `[lo, hi]`, via Lemire's
