@@ -244,7 +244,7 @@ mod tests {
     fn trace_attrs_describe_geometry() {
         let f = BloomFilter::for_build_side(1000);
         let attrs = f.trace_attrs();
-        let keys: Vec<&str> = attrs.iter().map(|a| a.key.as_str()).collect();
+        let keys: Vec<&str> = attrs.iter().map(|a| a.key).collect();
         assert_eq!(keys, vec!["filter_bytes", "filter_bits", "filter_hashes"]);
     }
 }

@@ -91,9 +91,16 @@ pub fn record_report(
     for p in &report.phases {
         let dur = (p.time.0 * stretch).max(0.0);
         let ev = trace.span(pid, tid, p.name.clone(), ts, dur);
-        ev.attr(Attr::f64("isolated_time_ns", p.time.0));
-        if let Some(cost) = &p.cost {
-            ev.attrs(cost.trace_attrs(hw));
+        let isolated = Attr::f64("isolated_time_ns", p.time.0);
+        match &p.cost {
+            Some(cost) => {
+                let attrs = cost.trace_attrs(hw);
+                ev.attrs.reserve_exact(1 + attrs.len());
+                ev.attr(isolated).attrs(attrs);
+            }
+            None => {
+                ev.attr(isolated);
+            }
         }
         ts += dur;
     }
@@ -128,14 +135,21 @@ pub fn record_overlap(
     for (i, (a_start, b_start)) in lanes.schedule().into_iter().enumerate() {
         let a_dur = (lanes.stage_a[i].0 * scale).max(0.0);
         let b_dur = (lanes.stage_b[i].0 * scale).max(0.0);
+        // Two spans per partition pair make this the trace's hottest
+        // producer, so each span's attributes are set in one call.
         let pair_attrs = |ev: &mut triton_trace::TraceEvent| {
-            ev.attr(Attr::u64("pair", i as u64));
-            ev.attr(Attr::u64("sched_pos", sched_pos[i]));
-            if let Some(p) = placement.and_then(|p| p.pairs.get(i)) {
-                ev.attr(Attr::u64("part", p.part));
-                ev.attr(Attr::u64("cached", u64::from(p.cached)));
-                ev.attr(Attr::u64("pair_gpu_bytes", p.gpu_bytes));
-            }
+            let pair = Attr::u64("pair", i as u64);
+            let pos = Attr::u64("sched_pos", sched_pos[i]);
+            match placement.and_then(|p| p.pairs.get(i)) {
+                Some(p) => ev.attrs([
+                    pair,
+                    pos,
+                    Attr::u64("part", p.part),
+                    Attr::u64("cached", u64::from(p.cached)),
+                    Attr::u64("pair_gpu_bytes", p.gpu_bytes),
+                ]),
+                None => ev.attrs([pair, pos]),
+            };
         };
         let ev = trace.span(
             pid,

@@ -24,8 +24,9 @@
 //! byte-identical traces (pinned by `tests/replay.rs`).
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
-use triton_core::{phase_bytes, phase_key, phase_progress, record_overlap, record_report};
+use triton_core::{phase_progress, record_overlap, record_report};
 use triton_hw::units::{Bytes, Ns};
 use triton_hw::HwConfig;
 use triton_metrics::{sim_ns, MetricsRegistry};
@@ -79,6 +80,20 @@ fn reject_kind(reason: &RejectReason) -> &'static str {
     }
 }
 
+/// Update the value under `key`, creating it with `init` on first touch.
+/// A hit only borrows `key`; the owned copy is allocated on a miss.
+fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    key: &str,
+    init: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(key) {
+        Some(v) => update(v),
+        None => update(map.entry(key.to_owned()).or_insert_with(init)),
+    }
+}
+
 /// One gauge observation the scheduler takes per decision-loop
 /// iteration: allocator occupancy from triton-mem and resource
 /// utilization priced off the triton-hw cost model (already in integer
@@ -118,9 +133,10 @@ pub struct GaugeSample {
 pub struct Recorder {
     trace: Trace,
     flight: FlightRecorder,
-    /// `(operator, phase)` → `(count, time_ns, bytes)`; `BTreeMap` keeps
-    /// the export order deterministic.
-    rollup: BTreeMap<(String, String), (u64, f64, u64)>,
+    /// operator → phase → `(count, time_ns, bytes)`; nested `BTreeMap`s
+    /// keep the export order `(operator, phase)` and let a hit look up
+    /// without allocating its key.
+    rollup: BTreeMap<String, BTreeMap<String, (u64, f64, u64)>>,
     /// Windowed counters/gauges/histograms on the simulated clock.
     registry: MetricsRegistry,
     /// Per-tenant SLO accounts, keyed by tenant label.
@@ -131,6 +147,9 @@ pub struct Recorder {
     /// Latest gauge snapshot as trace attributes, stamped onto every
     /// flight-recorder dump marker.
     gauge_ctx: Vec<Attr>,
+    /// Reused buffer for computed metric names (`phase.<op>.<key>.count`,
+    /// `tenant.<t>.completed`, ...).
+    metric_name: String,
 }
 
 impl Default for Recorder {
@@ -156,24 +175,29 @@ impl Recorder {
             slo: BTreeMap::new(),
             meta: BTreeMap::new(),
             gauge_ctx: Vec::new(),
+            metric_name: String::new(),
         }
     }
 
-    /// The tenant account for `tenant`, created on first touch.
-    fn slo_entry(&mut self, tenant: &str) -> &mut SloAccount {
-        self.slo
-            .entry(tenant.to_string())
-            .or_insert_with(|| SloAccount::new(tenant))
+    /// Update `tenant`'s SLO account, created on first touch.
+    fn settle(&mut self, tenant: &str, update: impl FnOnce(&mut SloAccount)) {
+        upsert(&mut self.slo, tenant, || SloAccount::new(tenant), update);
+    }
+
+    /// Add `delta` to the counter named by `name`, formatted into the
+    /// reused name buffer rather than a fresh `String`.
+    fn count(&mut self, name: fmt::Arguments<'_>, delta: u64, t: u64) {
+        self.metric_name.clear();
+        let _ = self.metric_name.write_fmt(name);
+        self.registry.counter_add(&self.metric_name, delta, t);
     }
 
     /// Record a lifecycle instant on a query's lifecycle track and mirror
     /// it into the flight ring.
-    fn lifecycle(&mut self, id: QueryId, name: &str, ts: Ns, attrs: Vec<Attr>) {
-        let ev = self
-            .trace
-            .instant(query_pid(id), TID_LIFECYCLE, name, ts.0)
-            .attrs(attrs)
-            .clone();
+    fn lifecycle(&mut self, id: QueryId, name: &'static str, ts: Ns, attrs: Vec<Attr>) {
+        let ev = self.trace.instant(query_pid(id), TID_LIFECYCLE, name, ts.0);
+        ev.attrs = attrs;
+        let ev = ev.clone();
         self.flight.record(ev);
     }
 
@@ -181,17 +205,15 @@ impl Recorder {
     pub fn enqueue(&mut self, id: QueryId, q: &JoinQuery, ts: Ns) {
         self.trace
             .name_process(query_pid(id), format!("{id}:{}", q.name));
-        let mut attrs = vec![
-            Attr::str("operator", q.op.label()),
-            Attr::u64("priority", u64::from(q.priority)),
-        ];
+        let mut attrs = Vec::with_capacity(2 + usize::from(q.deadline.is_some()));
+        attrs.push(Attr::str("operator", q.op.label()));
+        attrs.push(Attr::u64("priority", u64::from(q.priority)));
         if let Some(d) = q.deadline {
             attrs.push(Attr::f64("deadline_ns", d.0));
         }
         self.lifecycle(id, "enqueue", ts, attrs);
         let tenant = tenant_of(&q.name).to_string();
-        self.registry
-            .counter_inc(&format!("tenant.{tenant}.enqueued"), sim_ns(ts.0));
+        self.count(format_args!("tenant.{tenant}.enqueued"), 1, sim_ns(ts.0));
         self.registry.counter_inc("sched.enqueued", sim_ns(ts.0));
         self.meta.insert(id, (tenant, q.deadline.map(|d| d.0)));
     }
@@ -272,10 +294,18 @@ impl Recorder {
         );
         self.registry
             .counter_inc("sched.grant_revisions", sim_ns(ts.0));
-        self.registry
-            .counter_inc(&format!("sched.grant_revisions.{kind}"), sim_ns(ts.0));
-        if let Some((tenant, _)) = self.meta.get(&id).cloned() {
-            self.slo_entry(&tenant).grant_revisions += 1;
+        self.count(
+            format_args!("sched.grant_revisions.{kind}"),
+            1,
+            sim_ns(ts.0),
+        );
+        if let Some((tenant, _)) = self.meta.get(&id) {
+            upsert(
+                &mut self.slo,
+                tenant,
+                || SloAccount::new(tenant),
+                |a| a.grant_revisions += 1,
+            );
         }
         self.dump("grant-revision", ts);
     }
@@ -318,16 +348,15 @@ impl Recorder {
             ],
         );
         self.registry.counter_inc("sched.shed", sim_ns(ts.0));
-        self.registry
-            .counter_inc(&format!("sched.shed.{kind}"), sim_ns(ts.0));
+        self.count(format_args!("sched.shed.{kind}"), 1, sim_ns(ts.0));
         if let Some((tenant, deadline)) = self.meta.remove(&id) {
-            self.registry
-                .counter_inc(&format!("tenant.{tenant}.shed"), sim_ns(ts.0));
-            let account = self.slo_entry(&tenant);
-            account.shed += 1;
-            if deadline.is_some() {
-                account.slo_total += 1;
-            }
+            self.count(format_args!("tenant.{tenant}.shed"), 1, sim_ns(ts.0));
+            self.settle(&tenant, |a| {
+                a.shed += 1;
+                if deadline.is_some() {
+                    a.slo_total += 1;
+                }
+            });
         }
     }
 
@@ -366,13 +395,12 @@ impl Recorder {
     pub fn fault(&mut self, kind: &'static str, ts: Ns, attrs: Vec<Attr>) {
         let ev = self
             .trace
-            .instant(SCHEDULER_PID, SCHED_TID_FAULTS, kind, ts.0)
-            .attrs(attrs)
-            .clone();
+            .instant(SCHEDULER_PID, SCHED_TID_FAULTS, kind, ts.0);
+        ev.attrs = attrs;
+        let ev = ev.clone();
         self.flight.record(ev);
         self.registry.counter_inc("sched.faults", sim_ns(ts.0));
-        self.registry
-            .counter_inc(&format!("sched.faults.{kind}"), sim_ns(ts.0));
+        self.count(format_args!("sched.faults.{kind}"), 1, sim_ns(ts.0));
         self.dump(kind, ts);
     }
 
@@ -393,8 +421,8 @@ impl Recorder {
     /// Take one gauge observation at a scheduler decision point: update
     /// the registry's gauges, refresh the flight-dump context, and emit
     /// Perfetto counter lanes on [`SCHED_TID_GAUGES`]. Counter events are
-    /// only appended when a series member actually changed, so an idle
-    /// loop iteration costs nothing in the trace.
+    /// only appended, and the dump context only rebuilt, when a series
+    /// member actually changed, so an idle loop iteration costs nothing.
     pub fn sample_gauges(&mut self, ts: Ns, s: &GaugeSample) {
         let t = sim_ns(ts.0);
         let mem_changed = self.registry.gauge_set("gpu.used_bytes", s.gpu_used.0, t)
@@ -437,15 +465,20 @@ impl Recorder {
                 .attr(Attr::u64("running", s.running))
                 .attr(Attr::u64("queued", s.queued));
         }
-        self.gauge_ctx = vec![
-            Attr::u64("gpu_used_bytes", s.gpu_used.0),
-            Attr::u64("gpu_occupancy_ppm", s.gpu_occupancy_ppm),
-            Attr::u64("gpu_fragmentation_bytes", s.gpu_fragmentation.0),
-            Attr::u64("link_util_ppm", s.link_util_ppm),
-            Attr::u64("sm_util_ppm", s.sm_util_ppm),
-            Attr::u64("running", s.running),
-            Attr::u64("queued", s.queued),
-        ];
+        // Every context attribute mirrors a gauge set above, so when no
+        // gauge moved the previous context is still exact.
+        if mem_changed | util_changed | flight_changed {
+            self.gauge_ctx.clear();
+            self.gauge_ctx.extend([
+                Attr::u64("gpu_used_bytes", s.gpu_used.0),
+                Attr::u64("gpu_occupancy_ppm", s.gpu_occupancy_ppm),
+                Attr::u64("gpu_fragmentation_bytes", s.gpu_fragmentation.0),
+                Attr::u64("link_util_ppm", s.link_util_ppm),
+                Attr::u64("sm_util_ppm", s.sm_util_ppm),
+                Attr::u64("running", s.running),
+                Attr::u64("queued", s.queued),
+            ]);
+        }
     }
 
     /// A query completed: emit its queue span, stretched phase chain,
@@ -464,8 +497,8 @@ impl Recorder {
         let window = (c.finish - c.start).0.max(0.0);
         let iso: f64 = c.report.phases.iter().map(|p| p.time.0).sum();
         self.trace.name_thread(pid, TID_PHASES, "phases");
-        if iso > 0.0 {
-            let stretch = window / iso;
+        let stretch = (iso > 0.0).then(|| window / iso);
+        if let Some(stretch) = stretch {
             record_report(
                 &mut self.trace,
                 pid,
@@ -475,14 +508,6 @@ impl Recorder {
                 &c.report,
                 hw,
             );
-            for p in &c.report.phases {
-                self.add_rollup(
-                    c.operator,
-                    &phase_key(&p.name),
-                    p.time.0 * stretch,
-                    phase_bytes(p),
-                );
-            }
         } else {
             // Degenerate report (no phases): one opaque span.
             self.trace.span(pid, TID_PHASES, "run", c.start.0, window);
@@ -511,7 +536,9 @@ impl Recorder {
             }
         }
 
-        let mut attrs = vec![
+        let placement = c.report.placement.as_ref();
+        let mut attrs = Vec::with_capacity(if placement.is_some() { 12 } else { 8 });
+        attrs.extend([
             Attr::str("operator", c.operator),
             Attr::f64("latency_ns", c.latency().0),
             Attr::f64("dedicated_ns", c.dedicated.0),
@@ -520,17 +547,20 @@ impl Recorder {
             Attr::u64("retries", u64::from(c.fault.retries)),
             Attr::u64("downgrades", u64::from(c.fault.downgrades)),
             Attr::u64("revocations", u64::from(c.fault.revocations)),
-        ];
-        if let Some(p) = &c.report.placement {
-            attrs.push(Attr::str("placement_policy", p.policy.clone()));
-            attrs.push(Attr::u64("cache_hit_bytes", p.cache_hit_bytes));
-            attrs.push(Attr::u64("cache_spilled_bytes", p.spilled_bytes));
-            attrs.push(Attr::u64("pairs_cached", p.pairs_cached()));
+        ]);
+        if let Some(p) = placement {
+            attrs.extend([
+                Attr::str("placement_policy", p.policy.clone()),
+                Attr::u64("cache_hit_bytes", p.cache_hit_bytes),
+                Attr::u64("cache_spilled_bytes", p.spilled_bytes),
+                Attr::u64("pairs_cached", p.pairs_cached()),
+            ]);
         }
         self.lifecycle(c.id, "complete", c.finish, attrs);
 
-        // Registry counters/histograms and SLO settlement. All values
-        // cross the float boundary once, through `sim_ns`.
+        // Phase rollups, registry counters/histograms and SLO
+        // settlement. All registry values cross the float boundary once,
+        // through `sim_ns` (phase times through `phase_progress`).
         let t = sim_ns(c.finish.0);
         let latency_ns = sim_ns(c.latency().0);
         self.registry.counter_inc("sched.completed", t);
@@ -539,38 +569,43 @@ impl Recorder {
         self.registry.observe("sched.latency_ns", latency_ns, t);
         self.registry
             .observe("sched.queue_wait_ns", sim_ns(queue_wait), t);
-        for (key, time_ns, bytes) in phase_progress(&c.report) {
-            let op = c.operator;
-            self.registry
-                .counter_inc(&format!("phase.{op}.{key}.count"), t);
-            self.registry
-                .counter_add(&format!("phase.{op}.{key}.time_ns"), time_ns, t);
-            self.registry
-                .counter_add(&format!("phase.{op}.{key}.bytes"), bytes, t);
+        let op = c.operator;
+        for (p, (key, time_ns, bytes)) in c.report.phases.iter().zip(phase_progress(&c.report)) {
+            if let Some(stretch) = stretch {
+                self.add_rollup(op, &key, p.time.0 * stretch, bytes);
+            }
+            self.count(format_args!("phase.{op}.{key}.count"), 1, t);
+            self.count(format_args!("phase.{op}.{key}.time_ns"), time_ns, t);
+            self.count(format_args!("phase.{op}.{key}.bytes"), bytes, t);
         }
         if let Some((tenant, deadline)) = self.meta.remove(&c.id) {
-            self.registry
-                .counter_inc(&format!("tenant.{tenant}.completed"), t);
-            let account = self.slo_entry(&tenant);
-            account.completed += 1;
-            account.latency.record(latency_ns);
-            if let Some(d) = deadline {
-                account.slo_total += 1;
-                if c.latency().0 <= d {
-                    account.slo_met += 1;
+            self.count(format_args!("tenant.{tenant}.completed"), 1, t);
+            self.settle(&tenant, |a| {
+                a.completed += 1;
+                a.latency.record(latency_ns);
+                if let Some(d) = deadline {
+                    a.slo_total += 1;
+                    if c.latency().0 <= d {
+                        a.slo_met += 1;
+                    }
                 }
-            }
+            });
         }
     }
 
     fn add_rollup(&mut self, operator: &str, phase: &str, time_ns: f64, bytes: u64) {
-        let cell = self
-            .rollup
-            .entry((operator.to_string(), phase.to_string()))
-            .or_insert((0, 0.0, 0));
-        cell.0 += 1;
-        cell.1 += time_ns;
-        cell.2 += bytes;
+        upsert(&mut self.rollup, operator, BTreeMap::new, |phases| {
+            upsert(
+                phases,
+                phase,
+                || (0, 0.0, 0),
+                |cell| {
+                    cell.0 += 1;
+                    cell.1 += time_ns;
+                    cell.2 += bytes;
+                },
+            );
+        });
     }
 
     /// The accumulated phase rollups, sorted by `(operator, phase)`.
@@ -578,12 +613,16 @@ impl Recorder {
     pub fn rollups(&self) -> Vec<PhaseRollup> {
         self.rollup
             .iter()
-            .map(|((op, phase), &(count, time_ns, bytes))| PhaseRollup {
-                operator: op.clone(),
-                phase: phase.clone(),
-                count,
-                time: Ns(time_ns),
-                bytes: Bytes(bytes),
+            .flat_map(|(op, phases)| {
+                phases
+                    .iter()
+                    .map(move |(phase, &(count, time_ns, bytes))| PhaseRollup {
+                        operator: op.clone(),
+                        phase: phase.clone(),
+                        count,
+                        time: Ns(time_ns),
+                        bytes: Bytes(bytes),
+                    })
             })
             .collect()
     }

@@ -70,8 +70,8 @@ impl LinkTraffic {
 
     /// Typed trace attributes for the interconnect demand, wire costs
     /// included (they need the link's packet geometry).
-    pub fn trace_attrs(&self, link: &LinkModel) -> Vec<triton_trace::Attr> {
-        vec![
+    pub fn trace_attrs(&self, link: &LinkModel) -> [triton_trace::Attr; 3] {
+        [
             triton_trace::Attr::u64("link_payload_bytes", self.payload().0),
             triton_trace::Attr::u64("link_wire_up_bytes", self.wire_cpu_to_gpu(link).0),
             triton_trace::Attr::u64("link_wire_down_bytes", self.wire_gpu_to_cpu(link).0),
@@ -184,20 +184,27 @@ impl KernelCost {
 
     /// Typed trace attributes describing this kernel's resource demand
     /// (interconnect, GPU memory, compute, TLB) under the `triton-trace`
-    /// naming convention: `snake_case` keys, units as suffixes.
-    pub fn trace_attrs(&self, hw: &HwConfig) -> Vec<triton_trace::Attr> {
-        let link = LinkModel::new(&hw.link);
-        let mut attrs = self.link.trace_attrs(&link);
-        attrs.push(triton_trace::Attr::u64(
-            "gpu_mem_bytes",
-            self.gpu_mem.total().0,
-        ));
-        attrs.push(triton_trace::Attr::u64("instructions", self.instructions));
-        attrs.push(triton_trace::Attr::u64("tuples_in", self.tuples_in));
-        attrs.push(triton_trace::Attr::u64("tuples_out", self.tuples_out));
-        attrs.push(triton_trace::Attr::u64("sms", u64::from(self.sms)));
-        attrs.extend(self.tlb.trace_attrs());
-        attrs
+    /// naming convention: `snake_case` keys, units as suffixes. A fixed
+    /// array, so a recorder can size its event's attributes exactly.
+    pub fn trace_attrs(&self, hw: &HwConfig) -> [triton_trace::Attr; 13] {
+        use triton_trace::Attr;
+        let [payload, wire_up, wire_down] = self.link.trace_attrs(&LinkModel::new(&hw.link));
+        let [l2, l3_star, full, gpu, walks] = self.tlb.trace_attrs();
+        [
+            payload,
+            wire_up,
+            wire_down,
+            Attr::u64("gpu_mem_bytes", self.gpu_mem.total().0),
+            Attr::u64("instructions", self.instructions),
+            Attr::u64("tuples_in", self.tuples_in),
+            Attr::u64("tuples_out", self.tuples_out),
+            Attr::u64("sms", u64::from(self.sms)),
+            l2,
+            l3_star,
+            full,
+            gpu,
+            walks,
+        ]
     }
 
     /// Compute the roofline timing of this kernel under `hw`.

@@ -77,8 +77,8 @@ impl TlbStats {
 
     /// Typed trace attributes (event counts carry no unit suffix per
     /// the `triton-trace` naming convention).
-    pub fn trace_attrs(&self) -> Vec<triton_trace::Attr> {
-        vec![
+    pub fn trace_attrs(&self) -> [triton_trace::Attr; 5] {
+        [
             triton_trace::Attr::u64("tlb_l2_hits", self.l2_hits),
             triton_trace::Attr::u64("tlb_l3_star_hits", self.l3_star_hits),
             triton_trace::Attr::u64("tlb_full_misses", self.full_misses),

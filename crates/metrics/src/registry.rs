@@ -88,21 +88,20 @@ impl MetricsRegistry {
         ts_ns / self.window_ns
     }
 
-    /// Add `delta` to a monotonic counter at simulated time `ts_ns`.
+    /// Add `delta` to a monotonic counter at simulated time `ts_ns`. A
+    /// zero delta is a no-op (it does not create the counter).
     pub fn counter_add(&mut self, name: &str, delta: u64, ts_ns: u64) {
         if delta == 0 {
             return;
         }
-        let total = self.counters.entry(name.to_string()).or_insert(0);
-        *total = total.saturating_add(delta);
+        upsert(&mut self.counters, name, |total| {
+            *total = total.saturating_add(delta);
+        });
         let w = ts_ns / self.window_ns;
-        let cell = self
-            .counter_windows
-            .entry(name.to_string())
-            .or_default()
-            .entry(w)
-            .or_insert(0);
-        *cell = cell.saturating_add(delta);
+        upsert(&mut self.counter_windows, name, |wins| {
+            let cell = wins.entry(w).or_insert(0);
+            *cell = cell.saturating_add(delta);
+        });
     }
 
     /// Increment a monotonic counter by one.
@@ -141,18 +140,14 @@ impl MetricsRegistry {
     }
 
     /// Record one value into a named streaming histogram at `ts_ns`.
+    /// The run total and the window map gain a name together, so both
+    /// always hold the same key set.
     pub fn observe(&mut self, name: &str, value: u64, ts_ns: u64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        upsert(&mut self.hists, name, |h| h.record(value));
         let w = ts_ns / self.window_ns;
-        self.hist_windows
-            .entry(name.to_string())
-            .or_default()
-            .entry(w)
-            .or_default()
-            .record(value);
+        upsert(&mut self.hist_windows, name, |wins| {
+            wins.entry(w).or_default().record(value);
+        });
     }
 
     /// Run-total value of a counter (0 when never touched).
@@ -313,6 +308,16 @@ impl MetricsRegistry {
         });
         out.push_str("}}");
         out
+    }
+}
+
+/// Update the value under `name`, creating it on first touch. Metrics are
+/// bumped far more often than they are created, so a hit only borrows
+/// `name` and the owned key is allocated on a miss.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, name: &str, update: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => update(v),
+        None => update(map.entry(name.to_owned()).or_default()),
     }
 }
 

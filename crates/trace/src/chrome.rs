@@ -18,7 +18,7 @@ fn push_attrs(out: &mut String, ev: &TraceEvent) {
         if i > 0 {
             out.push(',');
         }
-        push_str_lit(out, &a.key);
+        push_str_lit(out, a.key);
         out.push(':');
         match &a.value {
             AttrValue::U64(v) => {
@@ -159,6 +159,7 @@ pub fn validate_chrome(json: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::event::Attr;
+    use std::borrow::Cow;
 
     fn sample() -> Trace {
         let mut t = Trace::new();
@@ -211,6 +212,23 @@ mod tests {
         let json = to_chrome_json(&t);
         let err = validate_chrome(&json).unwrap_err();
         assert!(err.contains("no args series"), "{err}");
+    }
+
+    #[test]
+    fn borrowed_and_owned_names_export_identically() {
+        let build = |name: Cow<'static, str>| {
+            let mut t = Trace::new();
+            t.span(1, 2, name, 10.0, 5.0)
+                .attr(Attr::u64("pair", 3))
+                .attr(Attr::str("operator", "triton"));
+            t
+        };
+        let borrowed = build(Cow::Borrowed("join p3"));
+        let owned = build(Cow::Owned(format!("join p{}", 3)));
+        assert!(matches!(borrowed.events()[0].name, Cow::Borrowed(_)));
+        assert!(matches!(owned.events()[0].name, Cow::Owned(_)));
+        assert_eq!(borrowed.events(), owned.events());
+        assert_eq!(to_chrome_json(&borrowed), to_chrome_json(&owned));
     }
 
     #[test]

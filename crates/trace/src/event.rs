@@ -1,5 +1,7 @@
 //! Trace events and their typed attributes.
 
+use std::borrow::Cow;
+
 /// A typed attribute value. Exporters format each variant exactly once,
 /// so the encoding (and therefore the trace bytes) never depends on the
 /// producer.
@@ -19,43 +21,48 @@ pub enum AttrValue {
 
 /// One `key: value` attribute. Keys are `snake_case` with the unit as a
 /// suffix (`_ns`, `_bytes`); see the crate docs for the convention.
+///
+/// Every key in the workspace is a literal, so the key is a
+/// `&'static str`: recording an attribute never allocates for its name,
+/// and cloning one (the flight recorder clones every lifecycle event)
+/// copies a pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Attr {
-    /// Attribute name.
-    pub key: String,
+    /// Attribute name (a string literal).
+    pub key: &'static str,
     /// Typed value.
     pub value: AttrValue,
 }
 
 impl Attr {
     /// An unsigned-counter attribute.
-    pub fn u64(key: impl Into<String>, value: u64) -> Attr {
+    pub fn u64(key: &'static str, value: u64) -> Attr {
         Attr {
-            key: key.into(),
+            key,
             value: AttrValue::U64(value),
         }
     }
 
     /// A real-valued attribute.
-    pub fn f64(key: impl Into<String>, value: f64) -> Attr {
+    pub fn f64(key: &'static str, value: f64) -> Attr {
         Attr {
-            key: key.into(),
+            key,
             value: AttrValue::F64(value),
         }
     }
 
     /// A string attribute.
-    pub fn str(key: impl Into<String>, value: impl Into<String>) -> Attr {
+    pub fn str(key: &'static str, value: impl Into<String>) -> Attr {
         Attr {
-            key: key.into(),
+            key,
             value: AttrValue::Str(value.into()),
         }
     }
 
     /// A boolean attribute.
-    pub fn bool(key: impl Into<String>, value: bool) -> Attr {
+    pub fn bool(key: &'static str, value: bool) -> Attr {
         Attr {
-            key: key.into(),
+            key,
             value: AttrValue::Bool(value),
         }
     }
@@ -81,14 +88,20 @@ pub enum EventKind {
 /// One recorded event. Tracks are addressed Chrome-style: a `pid` groups
 /// related lanes (one per query, plus the scheduler), a `tid` is one
 /// lane within the group (lifecycle, SM half A, SM half B, ...).
+///
+/// The name is borrowed when it is a literal (`"queue"`, `"admit"`) and
+/// owned only when it is computed (`"pass2 p3"`, a phase label), so the
+/// common events record and clone without allocating for their name.
+/// Both forms export identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Track group (Chrome "process").
     pub pid: u64,
     /// Lane within the group (Chrome "thread").
     pub tid: u64,
-    /// Event name (span label / instant marker).
-    pub name: String,
+    /// Event name (span label / instant marker): borrowed when static,
+    /// owned when computed.
+    pub name: Cow<'static, str>,
     /// Start time in simulated nanoseconds.
     pub ts_ns: f64,
     /// Span or instant.

@@ -137,7 +137,11 @@ mod tests {
         }
         assert_eq!(fr.len(), 4);
         assert_eq!(fr.recorded(), 10);
-        let names: Vec<String> = fr.snapshot().into_iter().map(|e| e.name).collect();
+        let names: Vec<String> = fr
+            .snapshot()
+            .into_iter()
+            .map(|e| e.name.into_owned())
+            .collect();
         assert_eq!(names, vec!["ev6", "ev7", "ev8", "ev9"]);
     }
 

@@ -24,7 +24,9 @@
 //! Attribute keys are `snake_case` with the unit as a suffix
 //! (`bytes_moved_link`, `time_ns`, `backoff_ns`); counts carry no
 //! suffix (`tlb_full_misses`, `retries`). Values are typed
-//! ([`AttrValue`]) so exporters never guess.
+//! ([`AttrValue`]) so exporters never guess. Keys are `&'static str`
+//! literals and event names are borrowed when static, so recording a
+//! typical event allocates only its attribute vector.
 //!
 //! # Flight recorder
 //!

@@ -1,5 +1,6 @@
 //! The trace recorder: an append-only event log plus track naming.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::event::{EventKind, TraceEvent};
@@ -10,8 +11,8 @@ use crate::event::{EventKind, TraceEvent};
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
-    process_names: BTreeMap<u64, String>,
-    thread_names: BTreeMap<(u64, u64), String>,
+    process_names: BTreeMap<u64, Cow<'static, str>>,
+    thread_names: BTreeMap<(u64, u64), Cow<'static, str>>,
 }
 
 impl Trace {
@@ -21,12 +22,12 @@ impl Trace {
     }
 
     /// Label a track group (Chrome "process"). Last writer wins.
-    pub fn name_process(&mut self, pid: u64, name: impl Into<String>) {
+    pub fn name_process(&mut self, pid: u64, name: impl Into<Cow<'static, str>>) {
         self.process_names.insert(pid, name.into());
     }
 
     /// Label one lane of a track group (Chrome "thread").
-    pub fn name_thread(&mut self, pid: u64, tid: u64, name: impl Into<String>) {
+    pub fn name_thread(&mut self, pid: u64, tid: u64, name: impl Into<Cow<'static, str>>) {
         self.thread_names.insert((pid, tid), name.into());
     }
 
@@ -35,7 +36,7 @@ impl Trace {
         &mut self,
         pid: u64,
         tid: u64,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         ts_ns: f64,
         dur_ns: f64,
     ) -> &mut TraceEvent {
@@ -54,7 +55,7 @@ impl Trace {
         &mut self,
         pid: u64,
         tid: u64,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         ts_ns: f64,
     ) -> &mut TraceEvent {
         self.push(TraceEvent {
@@ -75,7 +76,7 @@ impl Trace {
         &mut self,
         pid: u64,
         tid: u64,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         ts_ns: f64,
     ) -> &mut TraceEvent {
         self.push(TraceEvent {
@@ -112,24 +113,22 @@ impl Trace {
 
     /// Label of a track group, if one was set.
     pub fn process_name(&self, pid: u64) -> Option<&str> {
-        self.process_names.get(&pid).map(String::as_str)
+        self.process_names.get(&pid).map(|n| &**n)
     }
 
     /// Label of a lane, if one was set.
     pub fn thread_name(&self, pid: u64, tid: u64) -> Option<&str> {
-        self.thread_names.get(&(pid, tid)).map(String::as_str)
+        self.thread_names.get(&(pid, tid)).map(|n| &**n)
     }
 
     /// Named track groups, ordered by pid.
     pub fn processes(&self) -> impl Iterator<Item = (u64, &str)> {
-        self.process_names.iter().map(|(p, n)| (*p, n.as_str()))
+        self.process_names.iter().map(|(p, n)| (*p, &**n))
     }
 
     /// Named lanes, ordered by (pid, tid).
     pub fn threads(&self) -> impl Iterator<Item = (u64, u64, &str)> {
-        self.thread_names
-            .iter()
-            .map(|((p, t), n)| (*p, *t, n.as_str()))
+        self.thread_names.iter().map(|((p, t), n)| (*p, *t, &**n))
     }
 
     /// Latest end time over all events (0 for an empty trace).

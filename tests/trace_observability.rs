@@ -2,14 +2,16 @@
 //! traces, phase rollups reconcile with recorded latencies, and the
 //! flight recorder dumps the events leading up to every fault.
 
-use triton_datagen::WorkloadSpec;
+use triton_core::{CpuRadixJoin, HashScheme};
+use triton_datagen::{TpchSpec, WorkloadSpec};
 use triton_exec::{
-    query_pid, to_chrome_json, validate_chrome, FaultPlan, JoinQuery, Scheduler, SchedulerConfig,
-    SCHEDULER_PID, SCHED_TID_FLIGHT, TID_LIFECYCLE,
+    query_pid, to_chrome_json, validate_chrome, FaultPlan, JoinQuery, Operator, Scheduler,
+    SchedulerConfig, SCHEDULER_PID, SCHED_TID_FLIGHT, TID_LIFECYCLE,
 };
 use triton_hw::units::Ns;
 use triton_hw::{HwConfig, Timeline};
-use triton_trace::EventKind;
+use triton_plan::tpch_query;
+use triton_trace::{EventKind, Trace};
 
 fn hw() -> HwConfig {
     HwConfig::ac922().scaled(512)
@@ -40,7 +42,7 @@ fn clean_run_trace_validates_and_covers_every_query() {
             .events()
             .iter()
             .filter(|e| e.pid == pid && e.tid == TID_LIFECYCLE)
-            .map(|e| e.name.as_str())
+            .map(|e| &*e.name)
             .collect();
         assert!(names.contains(&"enqueue"), "{names:?}");
         assert!(names.contains(&"admit"), "{names:?}");
@@ -127,10 +129,7 @@ fn fault_dump_replays_the_events_preceding_the_fault() {
         .iter()
         .position(|e| e.name == "flight.dump")
         .expect("a kernel fault must dump the flight ring");
-    let replayed: Vec<&str> = flight[marker + 1..]
-        .iter()
-        .map(|e| e.name.as_str())
-        .collect();
+    let replayed: Vec<&str> = flight[marker + 1..].iter().map(|e| &*e.name).collect();
     // The ring replay carries the admissions that preceded the strike
     // and ends with the fault itself.
     assert!(replayed.contains(&"enqueue"), "{replayed:?}");
@@ -172,10 +171,7 @@ fn second_fault_dump_contains_the_first_retry() {
         .iter()
         .rposition(|e| e.name == "flight.dump")
         .expect("dumps must exist");
-    let replayed: Vec<&str> = flight[last_marker + 1..]
-        .iter()
-        .map(|e| e.name.as_str())
-        .collect();
+    let replayed: Vec<&str> = flight[last_marker + 1..].iter().map(|e| &*e.name).collect();
     assert!(
         replayed.contains(&"retry"),
         "second dump must replay the first fault's retry: {replayed:?}"
@@ -192,4 +188,67 @@ fn timeline_renders_real_scheduler_runs() {
     // Lanes are labeled with the query names given at submission.
     assert!(art.contains("t0"), "{art}");
     assert!(art.contains("phases"), "{art}");
+}
+
+/// Fail if any event repeats an attribute key: Chrome `args` is a JSON
+/// object, and Perfetto silently keeps only the last duplicate.
+fn assert_unique_attr_keys(trace: &Trace) {
+    for e in trace.events() {
+        let mut keys: Vec<&str> = e.attrs.iter().map(|a| a.key).collect();
+        keys.sort_unstable();
+        let n = keys.len();
+        keys.dedup();
+        assert_eq!(
+            keys.len(),
+            n,
+            "{} on ({}, {}) repeats a key: {:?}",
+            e.name,
+            e.pid,
+            e.tid,
+            e.attrs
+        );
+    }
+}
+
+#[test]
+fn no_exported_event_repeats_an_attribute_key() {
+    // Serving mix: a shared build probed in batches under deadlines, a
+    // CPU join beside it, and a multi-operator plan tenant.
+    let dim = WorkloadSpec::paper_default(16, 512).generate();
+    let mut serve: Vec<JoinQuery> = (0..3u64)
+        .map(|i| {
+            let w = if i == 0 {
+                dim.clone()
+            } else {
+                JoinQuery::probe_batch(&dim, 0xD0 + i)
+            };
+            let mut q = JoinQuery::new(format!("dash-{i}"), w, Ns(i as f64 * 1e3));
+            q.deadline = Some(Ns::millis(200.0));
+            q.build_key = Some(0xD1);
+            q
+        })
+        .collect();
+    let mut cpu = JoinQuery::new(
+        "cpu-0",
+        WorkloadSpec::paper_default(16, 512).generate(),
+        Ns::ZERO,
+    );
+    cpu.op = Operator::CpuRadix(CpuRadixJoin::power9(HashScheme::BucketChaining));
+    serve.push(cpu);
+    let w = TpchSpec::q3(2, 512).generate();
+    serve.push(JoinQuery::plan("plan-q3", tpch_query(&w), Ns::ZERO));
+    let res = Scheduler::new(hw(), SchedulerConfig::default()).run(serve);
+    assert!(res.metrics.completed >= 4);
+    assert_unique_attr_keys(&res.trace);
+
+    // Chaos: faults, retries, grant revisions and flight dumps stamped
+    // with gauge context.
+    let horizon = Scheduler::new(hw(), SchedulerConfig::default())
+        .run(batch(4))
+        .metrics
+        .makespan;
+    let plan = FaultPlan::chaos(3, horizon, &hw());
+    let res = Scheduler::new(hw(), SchedulerConfig::default()).run_with_faults(batch(4), &plan);
+    assert!(to_chrome_json(&res.trace).contains("flight.dump"));
+    assert_unique_attr_keys(&res.trace);
 }
