@@ -14,10 +14,12 @@
 //! * **Bloom pre-filter** — the Section 7 extension, swept over the
 //!   probe-side match fraction.
 
-use triton_core::{MultiGpuTritonJoin, NoPartitioningJoin, TritonJoin};
+use triton_core::{NoPartitioningJoin, TritonJoin};
 use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 use triton_part::{gpu_prefix_sum, GpuPartitioner, HierarchicalSwwc, PassConfig, SharedSwwc, Span};
+
+use crate::sweep::{ensure, gate_tests, row, Cell, Sweep};
 
 /// A generic (setting, value, G tuples/s) ablation row.
 #[derive(Debug, Clone)]
@@ -152,20 +154,6 @@ pub fn run_numa(hw_base: &HwConfig, m_tuples: u64) -> Vec<Row> {
     ]
 }
 
-/// Multi-GPU scaling (the Section 7 MG-Join direction).
-pub fn run_multi_gpu(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
-    let k = hw.scale;
-    let w = WorkloadSpec::paper_default(m_tuples, k).generate();
-    [1u32, 2, 4, 8]
-        .into_iter()
-        .map(|g| Row {
-            ablation: "multi-GPU",
-            setting: format!("{g} GPU(s)"),
-            value: MultiGpuTritonJoin::new(g).run(&w, hw).throughput_gtps(),
-        })
-        .collect()
-}
-
 /// Bloom pre-filter over the probe-side match fraction.
 pub fn run_bloom(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     let k = hw.scale;
@@ -193,116 +181,111 @@ pub fn run_bloom(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     rows
 }
 
-/// Print all ablations.
-pub fn print(hw: &HwConfig) {
-    crate::banner(
-        "Ablations",
-        "design-choice ablations beyond the paper's figures",
-    );
-    let mut t = crate::Table::new(["ablation", "setting", "value"]);
-    let mut all = Vec::new();
-    all.extend(run_join_ablations(hw, 512));
+/// Every ablation family at its workload size.
+pub fn run(hw: &HwConfig) -> Vec<Row> {
+    let mut all = run_join_ablations(hw, 512);
     all.extend(run_join_ablations(hw, 2048));
     all.extend(run_l2_sweep(hw, 1024));
     all.extend(run_page_size(hw, 1024));
     all.extend(run_numa(hw, 1024));
     all.extend(run_bloom(hw, 2048));
-    all.extend(run_multi_gpu(hw, 2048));
-    for r in all {
-        t.row([r.ablation.to_string(), r.setting, crate::f3(r.value)]);
-    }
-    t.print();
+    all
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hw() -> HwConfig {
-        HwConfig::ac922().scaled(2048)
-    }
-
-    fn get<'a>(rows: &'a [Row], setting: &str) -> &'a Row {
-        rows.iter()
-            .find(|r| r.setting.starts_with(setting))
-            .unwrap()
-    }
-
-    #[test]
-    fn overlap_and_interleave_pay_off() {
-        let rows = run_join_ablations(&hw(), 2048);
-        let base = get(&rows, "baseline").value;
-        let no_overlap = get(&rows, "no overlap").value;
-        let prefix = get(&rows, "prefix cache").value;
-        let no_cache = get(&rows, "no cache").value;
-        assert!(
-            base > no_overlap,
-            "overlap must help: {base} vs {no_overlap}"
-        );
-        assert!(
-            base >= prefix * 0.999,
-            "interleave >= prefix: {base} vs {prefix}"
-        );
-        assert!(base > no_cache, "caching must help: {base} vs {no_cache}");
-        // Prefix caching still beats no caching (it saves volume, just
-        // not overlap).
-        assert!(prefix > no_cache);
-    }
-
-    #[test]
-    fn second_tier_restores_whole_line_flushes() {
-        let rows = run_l2_sweep(&hw(), 4096);
-        let none = rows.first().unwrap().value;
-        let with_tier = rows[1].value;
-        let largest = rows.last().unwrap().value;
-        // Having the tier at all is the decisive step (sub-line flushes
-        // vs whole lines)...
-        assert!(with_tier > none * 1.8, "tier: {with_tier} vs none {none}");
-        // ...and growing it never hurts.
-        assert!(largest >= with_tier * 0.95);
-    }
-
-    #[test]
-    fn small_pages_hurt_out_of_core_joins() {
-        let rows = run_page_size(&hw(), 2048);
-        let npj_small = rows
-            .iter()
-            .find(|r| r.ablation.contains("NPJ") && r.setting.starts_with("64 KiB"))
-            .unwrap()
-            .value;
-        let npj_huge = rows
-            .iter()
-            .find(|r| r.ablation.contains("NPJ") && r.setting.contains("2 MiB"))
-            .unwrap()
-            .value;
-        // With 64 KiB pages the TLB reach shrinks 32x: the out-of-core
-        // NPJ collapses much earlier.
-        assert!(
-            npj_huge > npj_small * 2.0,
-            "NPJ: 2 MiB {npj_huge} vs 64 KiB {npj_small}"
-        );
-    }
-
-    #[test]
-    fn far_numa_costs_throughput() {
-        let rows = run_numa(&hw(), 1024);
-        assert!(rows[0].value > rows[1].value * 1.2, "{rows:?}");
-    }
-
-    #[test]
-    fn multi_gpu_scales() {
-        let rows = run_multi_gpu(&hw(), 2048);
-        assert!(rows[1].value > rows[0].value * 1.3, "{rows:?}");
-        assert!(rows[3].value > rows[1].value, "{rows:?}");
-    }
-
-    #[test]
-    fn bloom_helps_exactly_when_selective() {
-        // Out-of-core at this scale, so dropped probe tuples save spill
-        // traffic, not just instructions.
-        let rows = run_bloom(&hw(), 2048);
-        let at = |s: &str| get(&rows, s).value;
-        assert!(at("match 100% on") <= at("match 100% off") * 1.02);
-        assert!(at("match 5% on") > at("match 5% off") * 1.2);
-    }
+/// The value of the `ablation` row whose setting starts with `setting`.
+fn value(rows: &[Row], ablation: &str, setting: &str) -> Result<f64, String> {
+    row(rows, &format!("{ablation}: {setting}"), |r| {
+        r.ablation == ablation && r.setting.starts_with(setting)
+    })
+    .map(|r| r.value)
 }
+
+/// The committed sweep, `BENCH_ablations.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "ablations",
+    schema: "triton-bench/ablations/v1",
+    header: &[],
+    columns: &[
+        ("ablation", |r| Cell::Str(r.ablation)),
+        ("setting", |r| Cell::Str(&r.setting)),
+        ("value", |r| Cell::Num(r.value)),
+    ],
+    rows: 31,
+    run,
+    gates: &[
+        (
+            "at 2048 M, overlap, interleave and caching pay off",
+            |_, rows| {
+                let at = |s: &str| value(rows, "join design", &format!("{s} @2048M"));
+                let (base, no_overlap) = (at("baseline")?, at("no overlap")?);
+                let (prefix, no_cache) = (at("prefix cache")?, at("no cache")?);
+                // Prefix caching still beats no caching (it saves volume,
+                // just not overlap).
+                ensure(
+                    base > no_overlap
+                        && base >= prefix * 0.999
+                        && base > no_cache
+                        && prefix > no_cache,
+                    || {
+                        format!("base {base}, no overlap {no_overlap}, prefix {prefix}, no cache {no_cache}")
+                    },
+                )
+            },
+        ),
+        (
+            "the second tier gives 1.8x and growing it never hurts",
+            |_, rows| {
+                // Having the tier at all is the decisive step (sub-line
+                // flushes vs whole lines).
+                let at = |s: &str| value(rows, "second tier (GiB/s @fanout 2048)", s);
+                let (none, with_tier, largest) = (at("none")?, at("L2 = 8 ")?, at("L2 = 256")?);
+                ensure(
+                    with_tier > none * 1.8 && largest >= with_tier * 0.95,
+                    || format!("none {none}, L2 = 8 {with_tier}, L2 = 256 {largest}"),
+                )
+            },
+        ),
+        (
+            "NPJ runs 2x faster on 2 MiB pages than on 64 KiB",
+            |_, rows| {
+                // With 64 KiB pages the TLB reach shrinks 32x: the out-of-core
+                // NPJ collapses much earlier.
+                let small = value(rows, "page size (NPJ perfect)", "64 KiB")?;
+                let huge = value(rows, "page size (NPJ perfect)", "2 MiB")?;
+                ensure(huge > small * 2.0, || {
+                    format!("2 MiB {huge} vs 64 KiB {small}")
+                })
+            },
+        ),
+        ("the far socket costs 1.2x", |_, rows| {
+            let near = value(rows, "NUMA placement", "near")?;
+            let far = value(rows, "NUMA placement", "far")?;
+            ensure(near > far * 1.2, || format!("near {near} vs far {far}"))
+        }),
+        (
+            "Bloom costs <= 2% at full match and gains 1.2x at 5%",
+            |_, rows| {
+                // Out of core, dropped probe tuples save spill traffic, not
+                // just instructions.
+                let at = |s: &str| value(rows, "bloom prefilter", s);
+                let (full_on, full_off) = (at("match 100% on")?, at("match 100% off")?);
+                let (sel_on, sel_off) = (at("match 5% on")?, at("match 5% off")?);
+                ensure(full_on <= full_off * 1.02 && sel_on > sel_off * 1.2, || {
+                    format!("100%: {full_on} vs {full_off}; 5%: {sel_on} vs {sel_off}")
+                })
+            },
+        ),
+    ],
+};
+
+gate_tests!(2048, {
+    overlap_and_interleave_pay_off: ["at 2048 M, overlap, interleave and caching pay off"],
+    second_tier_restores_whole_line_flushes: [
+        "the second tier gives 1.8x and growing it never hurts",
+    ],
+    small_pages_hurt_out_of_core_joins: ["NPJ runs 2x faster on 2 MiB pages than on 64 KiB"],
+    far_numa_costs_throughput: ["the far socket costs 1.2x"],
+    bloom_helps_exactly_when_selective: [
+        "Bloom costs <= 2% at full match and gains 1.2x at 5%",
+    ],
+});

@@ -9,10 +9,15 @@
 //! alpha = 1 (Section 3.2).
 
 use triton_datagen::{WorkloadSpec, TUPLE_BYTES};
-use triton_hw::HwConfig;
+use triton_hw::{HwConfig, LinkModel};
 use triton_part::{
     cpu_partition_time, gpu_prefix_sum, make_partitioner, Algorithm, PassConfig, Span,
 };
+
+use crate::sweep::{ensure, every, gate_tests, row, Cell, Sweep};
+
+/// Modeled relation size in M tuples (a large base relation).
+pub const M_TUPLES: u64 = 1024;
 
 /// One bar of Fig 4.
 #[derive(Debug, Clone)]
@@ -26,7 +31,7 @@ pub struct Row {
 }
 
 /// Run the four bars. `m_tuples` is the modeled relation size in million
-/// tuples (the paper uses a large base relation; 1024 M by default).
+/// tuples ([`M_TUPLES`] in the committed sweep).
 pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     let k = hw.scale;
     let w = WorkloadSpec::paper_default(m_tuples, k).generate();
@@ -52,7 +57,7 @@ pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     // bandwidth on the write path.
     let t_cpu = cpu_partition_time(n as u64, 9, 1, hw);
     let cpu_gibs = bytes as f64 / gib / t_cpu.as_secs();
-    let link_eff = triton_hw::LinkModel::new(&hw.link).effective_seq_bw();
+    let link_eff = LinkModel::new(&hw.link).effective_seq_bw();
     let cpu_to_gpu = cpu_gibs.min(link_eff / gib);
 
     vec![
@@ -79,75 +84,51 @@ pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     ]
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig) {
-    crate::banner(
-        "Fig 4",
-        "partitioning throughput by processor and destination",
-    );
-    let mut t = crate::Table::new(["processor", "destination", "throughput (GiB/s)"]);
-    for r in run(hw, 1024) {
-        t.row([
-            r.processor.to_string(),
-            r.dest.to_string(),
-            crate::f1(r.input_gibs),
-        ]);
-    }
-    t.print();
-}
+/// The committed sweep, `BENCH_fig04.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig04",
+    schema: "triton-bench/fig04/v1",
+    header: &[("m_tuples", Cell::Int(M_TUPLES))],
+    columns: &[
+        ("processor", |r| Cell::Str(r.processor)),
+        ("dest", |r| Cell::Str(r.dest)),
+        ("input_gibs", |r| Cell::Num(r.input_gibs)),
+    ],
+    rows: 4,
+    run: |hw| run(hw, M_TUPLES),
+    gates: &[
+        (
+            "GPU out-partitions the CPU at both destinations",
+            |_, rows| {
+                for dest in ["GPU mem", "CPU mem"] {
+                    let at = |p: &str| row(rows, dest, |r| r.processor == p && r.dest == dest);
+                    let (cpu, gpu) = (at("CPU")?, at("GPU")?);
+                    ensure(gpu.input_gibs > cpu.input_gibs, || {
+                        format!("{gpu:?} vs {cpu:?}")
+                    })?;
+                }
+                Ok(())
+            },
+        ),
+        ("CPU partitions below 40 GiB/s", |_, rows| {
+            every(rows, |r| r.processor != "CPU" || r.input_gibs < 40.0)
+        }),
+        ("CPU partitions below 1/1.5 of the link", |hw, rows| {
+            let link = LinkModel::new(&hw.link).effective_seq_bw() / (1u64 << 30) as f64;
+            every(rows, |r| r.processor != "CPU" || r.input_gibs < link / 1.5)
+        }),
+        ("CPU at 20-40 and GPU at 30-65 GiB/s", |_, rows| {
+            every(rows, |r| match r.processor {
+                "CPU" => (20.0..=40.0).contains(&r.input_gibs),
+                _ => (30.0..=65.0).contains(&r.input_gibs),
+            })
+        }),
+    ],
+};
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gpu_faster_than_cpu_in_both_cases() {
-        let hw = HwConfig::ac922().scaled(1024);
-        let rows = run(&hw, 512);
-        let get = |proc: &str, dest: &str| {
-            rows.iter()
-                .find(|r| r.processor == proc && r.dest == dest)
-                .unwrap()
-                .input_gibs
-        };
-        assert!(get("GPU", "GPU mem") > get("CPU", "GPU mem"));
-        assert!(get("GPU", "CPU mem") > get("CPU", "CPU mem"));
-    }
-
-    #[test]
-    fn cpu_cannot_saturate_the_link() {
-        let hw = HwConfig::ac922().scaled(1024);
-        let rows = run(&hw, 512);
-        let cpu = rows
-            .iter()
-            .filter(|r| r.processor == "CPU")
-            .map(|r| r.input_gibs)
-            .fold(0.0f64, f64::max);
-        // Effective link bandwidth is ~62 GiB/s; the CPU partitions at
-        // ~29 GiB/s (Fig 4's point).
-        assert!(cpu < 40.0, "CPU partitioning rate {cpu} GiB/s");
-    }
-
-    #[test]
-    fn magnitudes_match_paper() {
-        let hw = HwConfig::ac922().scaled(1024);
-        let rows = run(&hw, 512);
-        for r in &rows {
-            match (r.processor, r.dest) {
-                ("CPU", _) => assert!(
-                    (20.0..=40.0).contains(&r.input_gibs),
-                    "CPU {} at {}",
-                    r.dest,
-                    r.input_gibs
-                ),
-                ("GPU", _) => assert!(
-                    (30.0..=65.0).contains(&r.input_gibs),
-                    "GPU {} at {}",
-                    r.dest,
-                    r.input_gibs
-                ),
-                _ => unreachable!(),
-            }
-        }
-    }
-}
+gate_tests!(1024, {
+    gpu_faster_than_cpu_in_both_cases: ["GPU out-partitions the CPU at both destinations"],
+    cpu_cannot_saturate_the_link: ["CPU partitions below 40 GiB/s"],
+    cpu_partitioning_cannot_saturate_the_link: ["CPU partitions below 1/1.5 of the link"],
+    magnitudes_match_paper: ["CPU at 20-40 and GPU at 30-65 GiB/s"],
+});

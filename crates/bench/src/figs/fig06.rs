@@ -10,119 +10,109 @@ use triton_hw::link::{Alignment, Dir, LinkModel};
 use triton_hw::units::Bytes;
 use triton_hw::HwConfig;
 
-/// One measured point of Fig 6(a).
+use crate::sweep::{ensure, gate_tests, row, Cell, Sweep};
+
+/// One measured point: panel (a) sweeps the granularity of naturally
+/// aligned accesses, panel (b) the alignment of 512-byte accesses.
 #[derive(Debug, Clone)]
-pub struct GranularityRow {
+pub struct Row {
+    /// `a` (granularity) or `b` (alignment).
+    pub panel: &'static str,
     /// Access granularity in bytes.
     pub granularity: u64,
+    /// Alignment class label.
+    pub alignment: &'static str,
     /// Random-read bandwidth in GiB/s.
     pub read_gibs: f64,
     /// Random-write bandwidth in GiB/s.
     pub write_gibs: f64,
 }
 
-/// One measured point of Fig 6(b) (512-byte accesses).
-#[derive(Debug, Clone)]
-pub struct AlignmentRow {
-    /// Alignment class label.
-    pub alignment: &'static str,
-    /// Read bandwidth in GiB/s.
-    pub read_gibs: f64,
-    /// Write bandwidth in GiB/s.
-    pub write_gibs: f64,
-}
-
 const GIB: f64 = (1u64 << 30) as f64;
 
-/// Fig 6(a): bandwidth vs granularity 4-512 bytes.
-pub fn run_granularity(hw: &HwConfig) -> Vec<GranularityRow> {
+/// Both panels: granularity 4-512 bytes, then 512-byte accesses at the
+/// three alignment classes.
+pub fn run(hw: &HwConfig) -> Vec<Row> {
     let link = LinkModel::new(&hw.link);
-    [4u64, 8, 16, 32, 64, 128, 256, 512]
+    let point = |panel, granularity, (alignment, a)| Row {
+        panel,
+        granularity,
+        alignment,
+        read_gibs: link.random_access_bandwidth(Bytes(granularity), Dir::CpuToGpu, a) / GIB,
+        write_gibs: link.random_access_bandwidth(Bytes(granularity), Dir::GpuToCpu, a) / GIB,
+    };
+    let sequential = ("Sequential", Alignment::Natural);
+    let granularity = [4u64, 8, 16, 32, 64, 128, 256, 512]
         .into_iter()
-        .map(|g| GranularityRow {
-            granularity: g,
-            read_gibs: link.random_access_bandwidth(Bytes(g), Dir::CpuToGpu, Alignment::Natural)
-                / GIB,
-            write_gibs: link.random_access_bandwidth(Bytes(g), Dir::GpuToCpu, Alignment::Natural)
-                / GIB,
-        })
-        .collect()
-}
-
-/// Fig 6(b): 512-byte accesses at the three alignment classes.
-pub fn run_alignment(hw: &HwConfig) -> Vec<AlignmentRow> {
-    let link = LinkModel::new(&hw.link);
-    [
-        ("Sequential", Alignment::Natural),
+        .map(|g| point("a", g, sequential));
+    let alignment = [
+        sequential,
         ("Cacheline", Alignment::Cacheline),
         ("None", Alignment::None),
     ]
     .into_iter()
-    .map(|(label, a)| AlignmentRow {
-        alignment: label,
-        read_gibs: link.random_access_bandwidth(Bytes(512), Dir::CpuToGpu, a) / GIB,
-        write_gibs: link.random_access_bandwidth(Bytes(512), Dir::GpuToCpu, a) / GIB,
-    })
-    .collect()
+    .map(|a| point("b", 512, a));
+    granularity.chain(alignment).collect()
 }
 
-/// Print both panels.
-pub fn print(hw: &HwConfig) {
-    crate::banner(
-        "Fig 6",
-        "interconnect bandwidth of random CPU-memory accesses",
-    );
-    let mut t = crate::Table::new(["granularity (B)", "read (GiB/s)", "write (GiB/s)"]);
-    for r in run_granularity(hw) {
-        t.row([
-            r.granularity.to_string(),
-            crate::f1(r.read_gibs),
-            crate::f1(r.write_gibs),
-        ]);
-    }
-    t.print();
-    println!();
-    let mut t = crate::Table::new(["alignment (512 B)", "read (GiB/s)", "write (GiB/s)"]);
-    for r in run_alignment(hw) {
-        t.row([
-            r.alignment.to_string(),
-            crate::f1(r.read_gibs),
-            crate::f1(r.write_gibs),
-        ]);
-    }
-    t.print();
-}
+/// The committed sweep, `BENCH_fig06.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig06",
+    schema: "triton-bench/fig06/v1",
+    header: &[],
+    columns: &[
+        ("panel", |r| Cell::Str(r.panel)),
+        ("granularity", |r| Cell::Int(r.granularity)),
+        ("alignment", |r| Cell::Str(r.alignment)),
+        ("read_gibs", |r| Cell::Num(r.read_gibs)),
+        ("write_gibs", |r| Cell::Num(r.write_gibs)),
+    ],
+    rows: 11,
+    run,
+    gates: &[
+        (
+            "reads double per granularity doubling up to 64 B",
+            |_, rows| {
+                for w in rows.windows(2).take(4) {
+                    let ratio = w[1].read_gibs / w[0].read_gibs;
+                    ensure((1.6..=2.4).contains(&ratio), || format!("{ratio} at {w:?}"))?;
+                }
+                Ok(())
+            },
+        ),
+        ("128-512 B accesses saturate above 55 GiB/s", |_, rows| {
+            for r in rows
+                .iter()
+                .filter(|r| r.panel == "a" && r.granularity >= 128)
+            {
+                ensure(r.read_gibs > 55.0 && r.write_gibs > 55.0, || {
+                    format!("{r:?}")
+                })?;
+            }
+            Ok(())
+        }),
+        (
+            "misalignment costs 10-30% of reads and 40-70% of writes",
+            |_, rows| {
+                let at = |a: &str| row(rows, a, |r| r.panel == "b" && r.alignment == a);
+                let (seq, mis) = (at("Sequential")?, at("None")?);
+                let read_drop = 1.0 - mis.read_gibs / seq.read_gibs;
+                let write_drop = 1.0 - mis.write_gibs / seq.write_gibs;
+                ensure(
+                    (0.1..=0.3).contains(&read_drop) && (0.4..=0.7).contains(&write_drop),
+                    || format!("read drop {read_drop}, write drop {write_drop}"),
+                )
+            },
+        ),
+    ],
+};
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bandwidth_grows_linearly_then_saturates() {
-        let hw = HwConfig::ac922();
-        let rows = run_granularity(&hw);
-        // Linear growth region: each doubling of granularity roughly
-        // doubles bandwidth up to 64 B.
-        for w in rows.windows(2).take(4) {
-            let ratio = w[1].read_gibs / w[0].read_gibs;
-            assert!((1.6..=2.4).contains(&ratio), "read ratio {ratio}");
-        }
-        // Saturation: 128-512 B all near the sequential limit.
-        for r in &rows[5..] {
-            assert!(r.read_gibs > 55.0 && r.write_gibs > 55.0, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn misalignment_penalties_match_paper() {
-        let hw = HwConfig::ac922();
-        let rows = run_alignment(&hw);
-        let seq = &rows[0];
-        let mis = &rows[2];
-        let read_drop = 1.0 - mis.read_gibs / seq.read_gibs;
-        let write_drop = 1.0 - mis.write_gibs / seq.write_gibs;
-        // Paper: 20% for reads, 56% for writes.
-        assert!((0.1..=0.3).contains(&read_drop), "read drop {read_drop}");
-        assert!((0.4..=0.7).contains(&write_drop), "write drop {write_drop}");
-    }
-}
+gate_tests!(1, {
+    bandwidth_grows_linearly_then_saturates: [
+        "reads double per granularity doubling up to 64 B",
+        "128-512 B accesses saturate above 55 GiB/s",
+    ],
+    misalignment_penalties_match_paper: [
+        "misalignment costs 10-30% of reads and 40-70% of writes",
+    ],
+});

@@ -11,6 +11,8 @@
 use triton_hw::tlb::{MemSide, TlbSim};
 use triton_hw::HwConfig;
 
+use crate::sweep::{ensure, gate_tests, Cell, Sweep};
+
 /// One measured point.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -78,86 +80,82 @@ pub fn run(hw: &HwConfig) -> Vec<Row> {
     rows
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig) {
-    crate::banner("Fig 7", "TLB miss latency (pointer chase)");
-    let mut t = crate::Table::new(["memory", "range (GiB)", "stride (MiB)", "latency (ns)"]);
-    for r in run(hw) {
-        t.row([
-            format!("{:?}", r.side),
-            format!("{:.1}", r.range_gib),
-            r.stride_mib.to_string(),
-            crate::f1(r.latency_ns),
-        ]);
-    }
-    t.print();
+/// Mean latency over `side`'s points with ranges in `lo..=hi` GiB,
+/// at one stride or (`None`) all of them.
+fn plateau(rows: &[Row], side: MemSide, (lo, hi): (f64, f64), stride: Option<u64>) -> f64 {
+    let v: Vec<f64> = rows
+        .iter()
+        .filter(|r| {
+            r.side == side
+                && (lo..=hi).contains(&r.range_gib)
+                && stride.is_none_or(|s| r.stride_mib == s)
+        })
+        .map(|r| r.latency_ns)
+        .collect();
+    v.iter().sum::<f64>() / v.len() as f64
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The CPU plateaus: L2 (1-4 GiB), L3* (16-32 GiB) and Miss* from
+/// `miss_from` to 87.5 GiB at the 32 MiB stride, which touches a fresh
+/// translation entry on every access (wider strides halve the tag
+/// count and can fall back under the IOTLB capacity at mid ranges).
+fn cpu_plateaus(rows: &[Row], miss_from: f64) -> [f64; 3] {
+    [
+        plateau(rows, MemSide::Cpu, (1.0, 4.0), None),
+        plateau(rows, MemSide::Cpu, (16.0, 32.0), None),
+        plateau(rows, MemSide::Cpu, (miss_from, 87.5), Some(32)),
+    ]
+}
 
-    fn hw() -> HwConfig {
-        HwConfig::ac922().scaled(1024)
-    }
-
-    fn avg_latency(rows: &[Row], side: MemSide, lo: f64, hi: f64) -> f64 {
-        avg_latency_stride(rows, side, lo, hi, None)
-    }
-
-    fn avg_latency_stride(
-        rows: &[Row],
-        side: MemSide,
-        lo: f64,
-        hi: f64,
-        stride: Option<u64>,
-    ) -> f64 {
-        let v: Vec<f64> = rows
-            .iter()
-            .filter(|r| {
-                r.side == side
-                    && r.range_gib >= lo
-                    && r.range_gib <= hi
-                    && stride.is_none_or(|s| r.stride_mib == s)
+/// The committed sweep, `BENCH_fig07.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig07",
+    schema: "triton-bench/fig07/v1",
+    header: &[],
+    columns: &[
+        ("memory", |r| {
+            Cell::Str(match r.side {
+                MemSide::Gpu => "Gpu",
+                MemSide::Cpu => "Cpu",
             })
-            .map(|r| r.latency_ns)
-            .collect();
-        v.iter().sum::<f64>() / v.len() as f64
-    }
+        }),
+        ("range_gib", |r| Cell::Num(r.range_gib)),
+        ("stride_mib", |r| Cell::Int(r.stride_mib)),
+        ("latency_ns", |r| Cell::Num(r.latency_ns)),
+    ],
+    rows: 63,
+    run,
+    gates: &[
+        ("GPU hits at 140-170 ns, misses at 185-235 ns", |_, rows| {
+            // Within the 8 GiB L2 coverage: ~151.9 ns; beyond: ~226.7 ns.
+            let hit = plateau(rows, MemSide::Gpu, (6.0, 7.5), None);
+            let miss = plateau(rows, MemSide::Gpu, (9.8, 10.7), None);
+            ensure(
+                (140.0..=170.0).contains(&hit) && (185.0..=235.0).contains(&miss),
+                || format!("hit {hit}, miss {miss}"),
+            )
+        }),
+        (
+            "CPU plateaus at 430-480, 500-600 and 2500-3300 ns",
+            |_, rows| {
+                let [l2, l3, miss] = cpu_plateaus(rows, 48.0);
+                ensure(
+                    (430.0..=480.0).contains(&l2)
+                        && (500.0..=600.0).contains(&l3)
+                        && (2500.0..=3300.0).contains(&miss),
+                    || format!("L2 {l2}, L3* {l3}, Miss* {miss}"),
+                )
+            },
+        ),
+        ("CPU plateaus ordered L2 < L3* < Miss*", |_, rows| {
+            let [l2, l3, miss] = cpu_plateaus(rows, 64.0);
+            ensure(l2 < l3 && l3 < miss, || format!("{l2}, {l3}, {miss}"))
+        }),
+    ],
+};
 
-    #[test]
-    fn gpu_memory_plateaus() {
-        let rows = run(&hw());
-        // Within the 8 GiB L2 coverage: ~151.9 ns; beyond: ~226.7 ns.
-        let hit = avg_latency(&rows, MemSide::Gpu, 6.0, 7.5);
-        let miss = avg_latency(&rows, MemSide::Gpu, 9.8, 10.7);
-        assert!((140.0..=170.0).contains(&hit), "hit {hit}");
-        assert!((185.0..=235.0).contains(&miss), "miss {miss}");
-    }
-
-    #[test]
-    fn cpu_memory_three_plateaus() {
-        let rows = run(&hw());
-        let l2 = avg_latency(&rows, MemSide::Cpu, 1.0, 4.0);
-        let l3_star = avg_latency(&rows, MemSide::Cpu, 16.0, 32.0);
-        // The 32 MiB stride touches a fresh translation entry on every
-        // access; wider strides halve the tag count and can fall back
-        // under the IOTLB capacity at mid ranges.
-        let miss_star = avg_latency_stride(&rows, MemSide::Cpu, 48.0, 87.5, Some(32));
-        assert!((430.0..=480.0).contains(&l2), "L2 plateau {l2}");
-        assert!((500.0..=600.0).contains(&l3_star), "L3* plateau {l3_star}");
-        assert!(
-            (2500.0..=3300.0).contains(&miss_star),
-            "Miss* plateau {miss_star}"
-        );
-    }
-
-    #[test]
-    fn plateaus_ordered() {
-        let rows = run(&hw());
-        let l2 = avg_latency(&rows, MemSide::Cpu, 1.0, 4.0);
-        let l3 = avg_latency(&rows, MemSide::Cpu, 16.0, 32.0);
-        let miss = avg_latency_stride(&rows, MemSide::Cpu, 64.0, 87.5, Some(32));
-        assert!(l2 < l3 && l3 < miss);
-    }
-}
+gate_tests!(1024, {
+    gpu_memory_plateaus: ["GPU hits at 140-170 ns, misses at 185-235 ns"],
+    cpu_memory_three_plateaus: ["CPU plateaus at 430-480, 500-600 and 2500-3300 ns"],
+    plateaus_ordered: ["CPU plateaus ordered L2 < L3* < Miss*"],
+});

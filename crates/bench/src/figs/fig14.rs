@@ -10,6 +10,9 @@ use triton_core::{NoPartitioningJoin, TritonJoin};
 use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 
+use super::PAPER_WORKLOADS;
+use crate::sweep::{ensure, gate_tests, row, Cell, Sweep};
+
 /// One bar group of Fig 14.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -53,68 +56,76 @@ pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
     rows
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig, sizes: &[u64]) {
-    crate::banner(
-        "Fig 14",
-        "interconnect utilisation and IOMMU requests per tuple",
-    );
-    let mut t = crate::Table::new(["M tuples", "operator", "link util", "IOMMU req/tuple"]);
-    for r in run(hw, sizes) {
-        t.row([
-            r.m_tuples.to_string(),
-            r.operator.to_string(),
-            crate::pct(r.link_utilization),
-            format!("{:.2e}", r.iommu_requests_per_tuple),
-        ]);
-    }
-    t.print();
+/// The `operator` row (matched by a label fragment) at `m` M tuples.
+fn at<'a>(rows: &'a [Row], m: u64, operator: &str) -> Result<&'a Row, String> {
+    row(rows, &format!("{operator} at {m} M"), |r| {
+        r.m_tuples == m && r.operator.contains(operator)
+    })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The committed sweep, `BENCH_fig14.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig14",
+    schema: "triton-bench/fig14/v1",
+    header: &[],
+    columns: &[
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("operator", |r| Cell::Str(r.operator)),
+        ("link_utilization", |r| Cell::Num(r.link_utilization)),
+        ("iommu_requests_per_tuple", |r| {
+            Cell::Num(r.iommu_requests_per_tuple)
+        }),
+    ],
+    rows: 3 * PAPER_WORKLOADS.len(),
+    run: |hw| run(hw, &PAPER_WORKLOADS),
+    gates: &[
+        (
+            "at 2048 M, LP walks > 1 per tuple and Triton 100x less",
+            |_, rows| {
+                // Paper: 5.3 requests/tuple for LP vs ~1e-5 for Triton.
+                let (lp, triton) = (at(rows, 2048, "Linear")?, at(rows, 2048, "Triton")?);
+                ensure(
+                    lp.iommu_requests_per_tuple > 1.0
+                        && triton.iommu_requests_per_tuple < lp.iommu_requests_per_tuple / 100.0,
+                    || format!("{triton:?} vs {lp:?}"),
+                )
+            },
+        ),
+        (
+            "LP utilisation collapses below 5% and 1/5 of 512 M",
+            |_, rows| {
+                // Paper Fig 14a: LP drops to 0.4% utilisation at 2048 M.
+                let (small, large) = (at(rows, 512, "Linear")?, at(rows, 2048, "Linear")?);
+                ensure(
+                    large.link_utilization < 0.05
+                        && large.link_utilization < small.link_utilization / 5.0,
+                    || format!("{large:?} vs {small:?}"),
+                )
+            },
+        ),
+        (
+            "Triton utilisation keeps 90% of 128 M and 35% at 2048 M",
+            |_, rows| {
+                // More data -> smaller cached fraction -> higher link pressure.
+                let (small, large) = (at(rows, 128, "Triton")?, at(rows, 2048, "Triton")?);
+                ensure(
+                    large.link_utilization >= small.link_utilization * 0.9
+                        && large.link_utilization > 0.35,
+                    || format!("{large:?} vs {small:?}"),
+                )
+            },
+        ),
+    ],
+};
 
-    #[test]
-    fn lp_out_of_core_walks_constantly_triton_rarely() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[2048]);
-        let lp = rows.iter().find(|r| r.operator.contains("Linear")).unwrap();
-        let triton = rows.iter().find(|r| r.operator.contains("Triton")).unwrap();
-        // Paper: 5.3 requests/tuple for LP vs ~1e-5 for Triton.
-        assert!(lp.iommu_requests_per_tuple > 1.0, "{lp:?}");
-        assert!(
-            triton.iommu_requests_per_tuple < lp.iommu_requests_per_tuple / 100.0,
-            "triton {triton:?} vs lp {lp:?}"
-        );
-    }
-
-    #[test]
-    fn lp_utilization_collapses_out_of_core() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[512, 2048]);
-        let lp_small = &rows[0];
-        let lp_large = &rows[3];
-        assert!(lp_small.operator.contains("Linear") && lp_large.operator.contains("Linear"));
-        // Paper Fig 14a: LP drops to 0.4% utilisation at 2048 M.
-        assert!(lp_large.link_utilization < 0.05, "{lp_large:?}");
-        assert!(lp_large.link_utilization < lp_small.link_utilization / 5.0);
-    }
-
-    #[test]
-    fn triton_utilization_grows_with_spill() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[128, 2048]);
-        let t_small = rows
-            .iter()
-            .find(|r| r.m_tuples == 128 && r.operator.contains("Triton"))
-            .unwrap();
-        let t_large = rows
-            .iter()
-            .find(|r| r.m_tuples == 2048 && r.operator.contains("Triton"))
-            .unwrap();
-        // More data -> smaller cached fraction -> higher link pressure.
-        assert!(t_large.link_utilization >= t_small.link_utilization * 0.9);
-        assert!(t_large.link_utilization > 0.35, "{t_large:?}");
-    }
-}
+gate_tests!(2048, {
+    lp_out_of_core_walks_constantly_triton_rarely: [
+        "at 2048 M, LP walks > 1 per tuple and Triton 100x less",
+    ],
+    lp_utilization_collapses_out_of_core: [
+        "LP utilisation collapses below 5% and 1/5 of 512 M"
+    ],
+    triton_utilization_grows_with_spill: [
+        "Triton utilisation keeps 90% of 128 M and 35% at 2048 M",
+    ],
+});

@@ -11,18 +11,26 @@ use triton_datagen::WorkloadSpec;
 use triton_hw::kernel::StallProfile;
 use triton_hw::HwConfig;
 
+use super::PAPER_WORKLOADS;
+use crate::sweep::{ensure, every, gate_tests, row, Cell, Sweep};
+
 /// Per-kernel share and stall profile.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Workload size in modeled M tuples.
     pub m_tuples: u64,
     /// Kernel name.
-    pub kernel: String,
+    pub kernel: &'static str,
     /// Share of total kernel time (0..1).
     pub share: f64,
-    /// Stall attribution.
-    pub stalls: Option<StallProfile>,
+    /// Stall attribution (all zero for a phase without a profile).
+    pub stalls: StallProfile,
 }
+
+/// The kernels of the breakdown in pipeline order. A kernel a run skips
+/// (coarse scales need no second pass) keeps its row at zero share; the
+/// shares-sum-to-one gate catches time in any phase not listed here.
+pub const KERNELS: [&str; 6] = ["PS 1", "Part 1", "PS 2", "Part 2", "Sched", "Join"];
 
 /// Run for the given workloads.
 pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
@@ -36,95 +44,90 @@ pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
         }
         .run(&w, hw);
         let sum: f64 = rep.phases.iter().map(|p| p.time.0).sum();
-        for p in &rep.phases {
+        for kernel in KERNELS {
+            let phase = rep.phases.iter().find(|p| p.name == kernel);
             rows.push(Row {
                 m_tuples: m,
-                kernel: p.name.clone(),
-                share: if sum > 0.0 { p.time.0 / sum } else { 0.0 },
-                stalls: p.stalls,
+                kernel,
+                share: phase.filter(|_| sum > 0.0).map_or(0.0, |p| p.time.0 / sum),
+                stalls: phase.and_then(|p| p.stalls).unwrap_or_default(),
             });
         }
     }
     rows
 }
 
-/// Print both panels.
-pub fn print(hw: &HwConfig, sizes: &[u64]) {
-    crate::banner("Fig 15", "Triton join time breakdown and stall analysis");
-    let mut t = crate::Table::new([
-        "M tuples",
-        "kernel",
-        "time share",
-        "issued",
-        "mem dep",
-        "exec dep",
-        "sync",
-        "other",
-    ]);
-    for r in run(hw, sizes) {
-        let s = r.stalls.unwrap_or_default();
-        t.row([
-            r.m_tuples.to_string(),
-            r.kernel,
-            crate::pct(r.share),
-            crate::f1(s.instr_issued),
-            crate::f1(s.memory_dep),
-            crate::f1(s.exec_dep),
-            crate::f1(s.sync),
-            crate::f1(s.other),
-        ]);
-    }
-    t.print();
+/// The `kernel` row at `m` M tuples.
+fn at<'a>(rows: &'a [Row], m: u64, kernel: &str) -> Result<&'a Row, String> {
+    row(rows, &format!("{kernel} at {m} M"), |r| {
+        r.m_tuples == m && r.kernel == kernel
+    })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn shares(m: u64) -> Vec<Row> {
-        let hw = HwConfig::ac922().scaled(2048);
-        run(&hw, &[m])
-    }
-
-    #[test]
-    fn part1_dominates() {
-        for m in [512u64, 2048] {
-            let rows = shares(m);
-            let part1 = rows.iter().find(|r| r.kernel == "Part 1").unwrap();
-            // Paper: 43.8-47.2% of total time.
-            assert!(
-                (0.25..=0.65).contains(&part1.share),
-                "{m} M: Part 1 share {}",
-                part1.share
-            );
-            for r in &rows {
-                if r.kernel != "Part 1" {
-                    assert!(part1.share >= r.share, "{m} M: {} > Part 1", r.kernel);
+/// The committed sweep, `BENCH_fig15.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig15",
+    schema: "triton-bench/fig15/v1",
+    header: &[],
+    columns: &[
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("kernel", |r| Cell::Str(r.kernel)),
+        ("share", |r| Cell::Num(r.share)),
+        ("instr_issued", |r| Cell::Num(r.stalls.instr_issued)),
+        ("memory_dep", |r| Cell::Num(r.stalls.memory_dep)),
+        ("exec_dep", |r| Cell::Num(r.stalls.exec_dep)),
+        ("sync", |r| Cell::Num(r.stalls.sync)),
+        ("other", |r| Cell::Num(r.stalls.other)),
+    ],
+    rows: KERNELS.len() * PAPER_WORKLOADS.len(),
+    run: |hw| run(hw, &PAPER_WORKLOADS),
+    gates: &[
+        (
+            "Part 1 takes 25-65% and the largest share at 512 and 2048 M",
+            |_, rows| {
+                // Paper: 43.8-47.2% of total time.
+                for m in [512, 2048] {
+                    let part1 = at(rows, m, "Part 1")?;
+                    ensure((0.25..=0.65).contains(&part1.share), || {
+                        format!("{part1:?}")
+                    })?;
+                    every(rows, |r| r.m_tuples != m || r.share <= part1.share)?;
                 }
+                Ok(())
+            },
+        ),
+        ("kernel shares sum to one", |_, rows| {
+            for m in PAPER_WORKLOADS {
+                let sum: f64 = rows
+                    .iter()
+                    .filter(|r| r.m_tuples == m)
+                    .map(|r| r.share)
+                    .sum();
+                ensure((sum - 1.0).abs() < 1e-9, || format!("{m} M: {sum}"))?;
             }
-        }
-    }
+            Ok(())
+        }),
+        (
+            "Part 1 stalls on memory, the join issues 1.4x more",
+            |_, rows| {
+                // Part 1 is memory bound; the join is compute bound.
+                let (p1, j) = (
+                    at(rows, 2048, "Part 1")?.stalls,
+                    at(rows, 2048, "Join")?.stalls,
+                );
+                ensure(
+                    p1.memory_dep > p1.sync && j.instr_issued > p1.instr_issued * 1.4,
+                    || format!("join {j:?} vs part1 {p1:?}"),
+                )
+            },
+        ),
+    ],
+};
 
-    #[test]
-    fn shares_sum_to_one() {
-        let rows = shares(512);
-        let sum: f64 = rows.iter().map(|r| r.share).sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn part1_memory_bound_join_compute_bound() {
-        let rows = shares(2048);
-        let part1 = rows.iter().find(|r| r.kernel == "Part 1").unwrap();
-        let join = rows.iter().find(|r| r.kernel == "Join").unwrap();
-        let p1 = part1.stalls.unwrap();
-        let j = join.stalls.unwrap();
-        // Part 1 stalls mostly on memory; the join issues instructions at
-        // a much higher rate (compute bound).
-        assert!(p1.memory_dep > p1.sync);
-        assert!(
-            j.instr_issued > p1.instr_issued * 1.4,
-            "join {j:?} vs part1 {p1:?}"
-        );
-    }
-}
+gate_tests!(2048, {
+    part1_dominates: ["Part 1 takes 25-65% and the largest share at 512 and 2048 M"],
+    shares_sum_to_one: ["kernel shares sum to one"],
+    part1_memory_bound_join_compute_bound: [
+        "Part 1 stalls on memory, the join issues 1.4x more"
+    ],
+});

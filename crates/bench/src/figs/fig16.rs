@@ -9,6 +9,9 @@
 use triton_core::{CpuPartitionedJoin, TritonJoin};
 use triton_datagen::{WorkloadSpec, TUPLE_BYTES};
 use triton_hw::HwConfig;
+
+use super::PAPER_WORKLOADS;
+use crate::sweep::{every, gate_tests, Cell, Sweep};
 use triton_part::{
     cpu_partition_time, gpu_prefix_sum, make_partitioner, Algorithm, PassConfig, Span,
 };
@@ -67,59 +70,45 @@ pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
         .collect()
 }
 
-/// Print both panels.
-pub fn print(hw: &HwConfig, sizes: &[u64]) {
-    crate::banner("Fig 16", "CPU-partitioned vs GPU-partitioned join");
-    let mut t = crate::Table::new([
-        "M tuples",
-        "CPU-part join (G/s)",
-        "Triton (G/s)",
-        "speedup",
-        "CPU part (GiB/s)",
-        "GPU part (GiB/s)",
-    ]);
-    for r in run(hw, sizes) {
-        t.row([
-            r.m_tuples.to_string(),
-            crate::f3(r.cpu_partitioned_gtps),
-            crate::f3(r.triton_gtps),
-            format!("{:.2}x", r.triton_gtps / r.cpu_partitioned_gtps),
-            crate::f1(r.cpu_partition_gibs),
-            crate::f1(r.gpu_partition_gibs),
-        ]);
-    }
-    t.print();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn triton_speedup_in_paper_range() {
-        let hw = HwConfig::ac922().scaled(2048);
-        for r in run(&hw, &[128, 2048]) {
-            let speedup = r.triton_gtps / r.cpu_partitioned_gtps;
-            // Paper: 1.2-1.3x.
-            assert!(
-                (1.05..=1.6).contains(&speedup),
-                "{} M: speedup {speedup}",
-                r.m_tuples
-            );
-        }
-    }
-
-    #[test]
-    fn gpu_partitions_faster() {
-        let hw = HwConfig::ac922().scaled(2048);
-        for r in run(&hw, &[512, 2048]) {
-            let ratio = r.gpu_partition_gibs / r.cpu_partition_gibs;
+/// The committed sweep, `BENCH_fig16.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig16",
+    schema: "triton-bench/fig16/v1",
+    header: &[],
+    columns: &[
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("cpu_partitioned_gtps", |r| {
+            Cell::Num(r.cpu_partitioned_gtps)
+        }),
+        ("triton_gtps", |r| Cell::Num(r.triton_gtps)),
+        ("speedup", |r| {
+            Cell::Num(r.triton_gtps / r.cpu_partitioned_gtps)
+        }),
+        ("cpu_partition_gibs", |r| Cell::Num(r.cpu_partition_gibs)),
+        ("gpu_partition_gibs", |r| Cell::Num(r.gpu_partition_gibs)),
+    ],
+    rows: PAPER_WORKLOADS.len(),
+    run: |hw| run(hw, &PAPER_WORKLOADS),
+    gates: &[
+        (
+            "Triton 1.05-1.6x over the CPU-partitioned join",
+            |_, rows| {
+                // Paper: 1.2-1.3x.
+                every(rows, |r| {
+                    (1.05..=1.6).contains(&(r.triton_gtps / r.cpu_partitioned_gtps))
+                })
+            },
+        ),
+        ("the GPU partitions 1.2-2.3x faster", |_, rows| {
             // Paper: 1.5-1.7x.
-            assert!(
-                (1.2..=2.3).contains(&ratio),
-                "{} M: partition ratio {ratio}",
-                r.m_tuples
-            );
-        }
-    }
-}
+            every(rows, |r| {
+                (1.2..=2.3).contains(&(r.gpu_partition_gibs / r.cpu_partition_gibs))
+            })
+        }),
+    ],
+};
+
+gate_tests!(2048, {
+    triton_speedup_in_paper_range: ["Triton 1.05-1.6x over the CPU-partitioned join"],
+    gpu_partitions_faster: ["the GPU partitions 1.2-2.3x faster"],
+});

@@ -11,6 +11,11 @@ use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 use triton_part::Algorithm;
 
+use crate::sweep::{ensure, every, gate_tests, row, Cell, Sweep};
+
+/// The size axis in modeled M tuples.
+pub const SIZES: [u64; 5] = [128, 512, 1024, 1536, 2048];
+
 /// One size point.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -41,53 +46,38 @@ pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
         .collect()
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig, sizes: &[u64]) {
-    crate::banner(
-        "Fig 17",
-        "partitioning algorithm effect on the radix join (no cache)",
-    );
-    let mut t = crate::Table::new(["M tuples", "Standard", "Linear", "Shared", "Hierarchical"]);
-    for r in run(hw, sizes) {
-        t.row([
-            r.m_tuples.to_string(),
-            crate::f3(r.gtps[0]),
-            crate::f3(r.gtps[1]),
-            crate::f3(r.gtps[2]),
-            crate::f3(r.gtps[3]),
-        ]);
-    }
-    t.print();
-}
+/// The committed sweep, `BENCH_fig17.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig17",
+    schema: "triton-bench/fig17/v1",
+    header: &[],
+    columns: &[
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("standard", |r| Cell::Num(r.gtps[0])),
+        ("linear", |r| Cell::Num(r.gtps[1])),
+        ("shared", |r| Cell::Num(r.gtps[2])),
+        ("hierarchical", |r| Cell::Num(r.gtps[3])),
+    ],
+    rows: SIZES.len(),
+    run: |hw| run(hw, &SIZES),
+    gates: &[
+        ("Hierarchical beats Linear and 2x Standard", |_, rows| {
+            every(rows, |r| {
+                let [standard, linear, _shared, hier] = r.gtps;
+                hier > linear && hier > standard * 2.0
+            })
+        }),
+        ("Hierarchical keeps 60% from 128 to 2048 M", |_, rows| {
+            // Paper: 1.4-1.5 G tuples/s over the whole range.
+            let hier =
+                |m: u64| row(rows, &format!("{m} M"), |r| r.m_tuples == m).map(|r| r.gtps[3]);
+            let ratio = hier(2048)? / hier(128)?;
+            ensure(ratio > 0.6, || format!("retention {ratio}"))
+        }),
+    ],
+};
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hierarchical_dominates_standard_and_linear() {
-        let hw = HwConfig::ac922().scaled(2048);
-        for r in run(&hw, &[512, 2048]) {
-            let [standard, linear, _shared, hier] = r.gtps;
-            assert!(
-                hier > linear,
-                "{} M: hierarchical {hier} !> linear {linear}",
-                r.m_tuples
-            );
-            assert!(
-                hier > standard * 2.0,
-                "{} M: hierarchical {hier} vs standard {standard}",
-                r.m_tuples
-            );
-        }
-    }
-
-    #[test]
-    fn hierarchical_degrades_gracefully() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[128, 2048]);
-        let ratio = rows[1].gtps[3] / rows[0].gtps[3];
-        // Paper: 1.4-1.5 G tuples/s over the whole range.
-        assert!(ratio > 0.6, "hierarchical retention {ratio}");
-    }
-}
+gate_tests!(2048, {
+    hierarchical_dominates_standard_and_linear: ["Hierarchical beats Linear and 2x Standard"],
+    hierarchical_degrades_gracefully: ["Hierarchical keeps 60% from 128 to 2048 M"],
+});

@@ -5,11 +5,15 @@
 //! (c) physical transfer volume (protocol overhead), (d) IOMMU requests
 //! per tuple, (e) issue-slot utilisation, (f) stall reasons.
 
-use triton_core::TritonJoin;
 use triton_datagen::{WorkloadSpec, TUPLE_BYTES};
 use triton_hw::kernel::StallProfile;
 use triton_hw::HwConfig;
 use triton_part::{gpu_prefix_sum, make_partitioner, Algorithm, PassConfig, Span};
+
+use crate::sweep::{ensure, gate_tests, row, Cell, Sweep};
+
+/// Modeled relation size in M tuples: ~60 GiB of data.
+pub const M_TUPLES: u64 = 3840;
 
 /// One (algorithm, fanout) measurement.
 #[derive(Debug, Clone)]
@@ -35,7 +39,7 @@ pub struct Row {
 /// The paper's fanout axis.
 pub const FANOUTS: [u32; 6] = [2, 4, 6, 8, 10, 11]; // radix bits: 4..2048
 
-/// Run the sweep. `m_tuples` defaults to ~60 GiB of data (3840 M tuples).
+/// Run the sweep over `m_tuples` ([`M_TUPLES`] in the committed sweep).
 pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     let k = hw.scale;
     let mut spec = WorkloadSpec::paper_default(m_tuples, k);
@@ -73,123 +77,113 @@ pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     rows
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig, m_tuples: u64) {
-    crate::banner(
-        "Fig 18",
-        "profiling the partitioning algorithms vs fanout (~60 GiB)",
-    );
-    let mut t = crate::Table::new([
-        "algorithm",
-        "fanout",
-        "GiB/s",
-        "tuples/txn",
-        "wire/2xdata",
-        "IOMMU req/tuple",
-        "issue%",
-        "mem-dep%",
-        "sync%",
-    ]);
-    for r in run(hw, m_tuples) {
-        t.row([
-            r.algorithm.name().to_string(),
-            r.fanout.to_string(),
-            crate::f1(r.gibs),
-            format!("{:.2}", r.tuples_per_txn),
-            format!("{:.2}", r.transfer_ratio),
-            format!("{:.2e}", r.iommu_requests_per_tuple),
-            crate::f1(r.issue_slot_util),
-            crate::f1(r.stalls.memory_dep),
-            crate::f1(r.stalls.sync),
-        ]);
-    }
-    t.print();
-    let _ = TritonJoin::default(); // (referenced for doc linkage)
+/// The `alg` row at `fanout`.
+fn at(rows: &[Row], alg: Algorithm, fanout: usize) -> Result<&Row, String> {
+    row(rows, &format!("{alg:?} at fanout {fanout}"), |r| {
+        r.algorithm == alg && r.fanout == fanout
+    })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The committed sweep, `BENCH_fig18.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig18",
+    schema: "triton-bench/fig18/v1",
+    header: &[("m_tuples", Cell::Int(M_TUPLES))],
+    columns: &[
+        ("algorithm", |r| Cell::Str(r.algorithm.name())),
+        ("fanout", |r| Cell::Int(r.fanout as u64)),
+        ("gibs", |r| Cell::Num(r.gibs)),
+        ("tuples_per_txn", |r| Cell::Num(r.tuples_per_txn)),
+        ("transfer_ratio", |r| Cell::Num(r.transfer_ratio)),
+        ("iommu_requests_per_tuple", |r| {
+            Cell::Num(r.iommu_requests_per_tuple)
+        }),
+        ("issue_slot_util", |r| Cell::Num(r.issue_slot_util)),
+        ("memory_dep", |r| Cell::Num(r.stalls.memory_dep)),
+        ("sync", |r| Cell::Num(r.stalls.sync)),
+    ],
+    rows: 4 * FANOUTS.len(),
+    run: |hw| run(hw, M_TUPLES),
+    gates: &[
+        (
+            "Hierarchical keeps 60% at fanout 2048 and 1.5x Shared",
+            |_, rows| {
+                // Paper: 38.3 GiB/s even at fanout 2048 (vs ~50 at low fanouts).
+                let h_low = at(rows, Algorithm::Hierarchical, 4)?.gibs;
+                let h_high = at(rows, Algorithm::Hierarchical, 2048)?.gibs;
+                let s_high = at(rows, Algorithm::Shared, 2048)?.gibs;
+                ensure(h_high > 0.6 * h_low && h_high > 1.5 * s_high, || {
+                    format!("hierarchical {h_low} -> {h_high}, shared {s_high}")
+                })
+            },
+        ),
+        (
+            "coalescing: Shared and Hierarchical > 6 tuples/txn at 64",
+            |_, rows| {
+                // Linear only partially coalesces; Standard not at all.
+                for alg in [Algorithm::Shared, Algorithm::Hierarchical] {
+                    let r = at(rows, alg, 64)?;
+                    ensure(r.tuples_per_txn > 6.0, || format!("{r:?}"))?;
+                }
+                let lin = at(rows, Algorithm::Linear, 2048)?;
+                let std_ = at(rows, Algorithm::Standard, 64)?;
+                ensure(
+                    lin.tuples_per_txn < 4.0 && std_.tuples_per_txn <= 1.0,
+                    || format!("linear {lin:?}, standard {std_:?}"),
+                )
+            },
+        ),
+        (
+            "Linear's wire overhead 1.3x Hierarchical's, which stays < 1.6",
+            |_, rows| {
+                // Paper 18c: Linear's overhead reaches 156% of the transfer
+                // volume; Hierarchical stays below 43%.
+                let lin = at(rows, Algorithm::Linear, 2048)?.transfer_ratio;
+                let hier = at(rows, Algorithm::Hierarchical, 2048)?.transfer_ratio;
+                ensure(lin > hier * 1.3 && hier < 1.6, || {
+                    format!("{lin} vs {hier}")
+                })
+            },
+        ),
+        (
+            "at fanout 2048, Standard 20x and Shared 4x Hierarchical's IOMMU rate",
+            |_, rows| {
+                // Paper 18d: at fanout 2048 Hierarchical achieves 1436x, 100x
+                // and 771x lower miss rates than Standard/Linear/Shared.
+                let rate = |alg| at(rows, alg, 2048).map(|r| r.iommu_requests_per_tuple);
+                let std_ = rate(Algorithm::Standard)?;
+                let shared = rate(Algorithm::Shared)?;
+                let hier = rate(Algorithm::Hierarchical)?;
+                ensure(std_ > hier * 20.0 && shared > hier * 4.0, || {
+                    format!("standard {std_}, shared {shared}, hierarchical {hier}")
+                })
+            },
+        ),
+        (
+            "Hierarchical issue utilisation rises from fanout 4 to 2048",
+            |_, rows| {
+                // Paper 18e: utilisation below ~5% except Hierarchical reaching
+                // ~43% at high fanouts.
+                let low = at(rows, Algorithm::Hierarchical, 4)?.issue_slot_util;
+                let high = at(rows, Algorithm::Hierarchical, 2048)?.issue_slot_util;
+                ensure(high > low, || format!("{low} -> {high}"))
+            },
+        ),
+    ],
+};
 
-    fn rows() -> Vec<Row> {
-        let hw = HwConfig::ac922().scaled(4096);
-        run(&hw, 3840)
-    }
-
-    fn get(rows: &[Row], alg: Algorithm, fanout: usize) -> &Row {
-        rows.iter()
-            .find(|r| r.algorithm == alg && r.fanout == fanout)
-            .unwrap()
-    }
-
-    #[test]
-    fn hierarchical_scales_to_high_fanout() {
-        let rows = rows();
-        let h_low = get(&rows, Algorithm::Hierarchical, 4);
-        let h_high = get(&rows, Algorithm::Hierarchical, 2048);
-        // Paper: 38.3 GiB/s even at fanout 2048 (vs ~50 at low fanouts).
-        assert!(
-            h_high.gibs > 0.6 * h_low.gibs,
-            "hierarchical: {} -> {}",
-            h_low.gibs,
-            h_high.gibs
-        );
-        let s_high = get(&rows, Algorithm::Shared, 2048);
-        assert!(h_high.gibs > 1.5 * s_high.gibs, "vs shared {}", s_high.gibs);
-    }
-
-    #[test]
-    fn shared_and_hierarchical_coalesce_perfectly_at_moderate_fanout() {
-        let rows = rows();
-        for alg in [Algorithm::Shared, Algorithm::Hierarchical] {
-            let r = get(&rows, alg, 64);
-            assert!(r.tuples_per_txn > 6.0, "{alg:?}: {}", r.tuples_per_txn);
-        }
-        // Linear only partially coalesces; Standard not at all.
-        let lin = get(&rows, Algorithm::Linear, 2048);
-        assert!(lin.tuples_per_txn < 4.0, "linear: {}", lin.tuples_per_txn);
-        let std_ = get(&rows, Algorithm::Standard, 64);
-        assert!(
-            std_.tuples_per_txn <= 1.0,
-            "standard: {}",
-            std_.tuples_per_txn
-        );
-    }
-
-    #[test]
-    fn protocol_overhead_shape() {
-        let rows = rows();
-        // Paper 18c: Linear's overhead reaches 156% of the transfer
-        // volume; Hierarchical stays below 43%.
-        let lin = get(&rows, Algorithm::Linear, 2048);
-        let hier = get(&rows, Algorithm::Hierarchical, 2048);
-        assert!(lin.transfer_ratio > hier.transfer_ratio * 1.3);
-        assert!(
-            hier.transfer_ratio < 1.6,
-            "hier wire ratio {}",
-            hier.transfer_ratio
-        );
-    }
-
-    #[test]
-    fn iommu_requests_hierarchy() {
-        let rows = rows();
-        let std_ = get(&rows, Algorithm::Standard, 2048).iommu_requests_per_tuple;
-        let shared = get(&rows, Algorithm::Shared, 2048).iommu_requests_per_tuple;
-        let hier = get(&rows, Algorithm::Hierarchical, 2048).iommu_requests_per_tuple;
-        // Paper 18d: at fanout 2048 Hierarchical achieves 1436x, 100x and
-        // 771x lower miss rates than Standard/Linear/Shared.
-        assert!(std_ > hier * 20.0, "standard {std_} vs hier {hier}");
-        assert!(shared > hier * 4.0, "shared {shared} vs hier {hier}");
-    }
-
-    #[test]
-    fn hierarchical_compute_rises_at_high_fanout() {
-        let rows = rows();
-        let low = get(&rows, Algorithm::Hierarchical, 4).issue_slot_util;
-        let high = get(&rows, Algorithm::Hierarchical, 2048).issue_slot_util;
-        // Paper 18e: utilisation below ~5% except Hierarchical reaching
-        // ~43% at high fanouts.
-        assert!(high > low, "issue util: {low} -> {high}");
-    }
-}
+gate_tests!(4096, {
+    hierarchical_scales_to_high_fanout: [
+        "Hierarchical keeps 60% at fanout 2048 and 1.5x Shared"
+    ],
+    shared_and_hierarchical_coalesce_perfectly_at_moderate_fanout: [
+        "coalescing: Shared and Hierarchical > 6 tuples/txn at 64",
+    ],
+    protocol_overhead_shape: ["Linear's wire overhead 1.3x Hierarchical's, which stays < 1.6"],
+    iommu_requests_hierarchy: [
+        "at fanout 2048, Standard 20x and Shared 4x Hierarchical's IOMMU rate",
+    ],
+    hierarchical_compute_rises_at_high_fanout: [
+        "Hierarchical issue utilisation rises from fanout 4 to 2048",
+    ],
+});

@@ -14,6 +14,9 @@ use triton_datagen::WorkloadSpec;
 use triton_hw::units::Bytes;
 use triton_hw::HwConfig;
 
+use super::PAPER_WORKLOADS;
+use crate::sweep::{ensure, gate_tests, Cell, Sweep};
+
 /// One measured point.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -64,72 +67,76 @@ pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
     rows
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig, sizes: &[u64]) {
-    crate::banner("Fig 19", "scaling the GPU memory cache size");
-    let mut t = crate::Table::new(["operator", "M tuples", "cache (GiB)", "G tuples/s"]);
-    for r in run(hw, sizes) {
-        t.row([
-            r.operator.to_string(),
-            r.m_tuples.to_string(),
-            format!("{:.1}", r.cache_gib),
-            crate::f3(r.gtps),
-        ]);
-    }
-    t.print();
+/// Throughput of `op` at `m` M tuples over [`CACHE_AXIS`].
+fn series(rows: &[Row], op: &str, m: u64) -> Vec<f64> {
+    rows.iter()
+        .filter(|r| r.operator == op && r.m_tuples == m)
+        .map(|r| r.gtps)
+        .collect()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn series(rows: &[Row], op: &str, m: u64) -> Vec<f64> {
-        rows.iter()
-            .filter(|r| r.operator == op && r.m_tuples == m)
-            .map(|r| r.gtps)
-            .collect()
-    }
-
-    #[test]
-    fn npj_caching_pays_off_for_small_workloads() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[512]);
-        let s = series(&rows, "NPJ (Perfect)", 512);
-        // Full cache vs no cache: large gain (paper: 4.6-4.8x for
-        // perfect hashing on in-TLB workloads).
-        let gain = s.last().unwrap() / s.first().unwrap();
-        assert!(gain > 2.0, "NPJ cache gain {gain}");
-    }
-
-    #[test]
-    fn triton_robust_across_cache_sizes() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[512, 2048]);
-        for m in [512u64, 2048] {
-            let s = series(&rows, "Triton (BC)", m);
-            let min = s.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = s.iter().copied().fold(0.0f64, f64::max);
-            // Paper: 1.1-1.4x smooth improvement, no cliffs.
-            assert!(max / min < 2.0, "{m} M: Triton spread {}", max / min);
-            // Larger cache should never be catastrophically worse.
-            assert!(s.last().unwrap() / max > 0.8, "{m} M");
-        }
-    }
-
-    #[test]
-    fn triton_gains_more_at_smaller_sizes() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[512, 2048]);
-        let gain = |m: u64| {
-            let s = series(&rows, "Triton (BC)", m);
-            s.last().unwrap() / s.first().unwrap()
-        };
-        // Paper: 1.4x for 128/512 M vs 1.1x for 2048 M.
-        assert!(
-            gain(512) >= gain(2048) * 0.95,
-            "{} vs {}",
-            gain(512),
-            gain(2048)
-        );
+/// Full-cache over no-cache throughput of `op` at `m` M tuples.
+fn gain(rows: &[Row], op: &str, m: u64) -> Result<f64, String> {
+    let s = series(rows, op, m);
+    match (s.first(), s.last()) {
+        (Some(none), Some(full)) => Ok(full / none),
+        _ => Err(format!("{op} at {m} M missing")),
     }
 }
+
+/// The committed sweep, `BENCH_fig19.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig19",
+    schema: "triton-bench/fig19/v1",
+    header: &[],
+    columns: &[
+        ("operator", |r| Cell::Str(r.operator)),
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("cache_gib", |r| Cell::Num(r.cache_gib)),
+        ("gtps", |r| Cell::Num(r.gtps)),
+    ],
+    rows: 2 * CACHE_AXIS.len() * PAPER_WORKLOADS.len(),
+    run: |hw| run(hw, &PAPER_WORKLOADS),
+    gates: &[
+        ("a full cache speeds NPJ up > 2x at 512 M", |_, rows| {
+            // Paper: 4.6-4.8x for perfect hashing on in-TLB workloads.
+            let gain = gain(rows, "NPJ (Perfect)", 512)?;
+            ensure(gain > 2.0, || format!("NPJ cache gain {gain}"))
+        }),
+        (
+            "Triton spreads < 2x and a full cache keeps 80% of its best",
+            |_, rows| {
+                // Paper: 1.1-1.4x smooth improvement, no cliffs.
+                for m in [512, 2048] {
+                    let s = series(rows, "Triton (BC)", m);
+                    let min = s.iter().copied().fold(f64::INFINITY, f64::min);
+                    let max = s.iter().copied().fold(0.0f64, f64::max);
+                    let last = s.last().copied().unwrap_or(0.0);
+                    ensure(max / min < 2.0 && last / max > 0.8, || {
+                        format!("{m} M: {s:?}")
+                    })?;
+                }
+                Ok(())
+            },
+        ),
+        (
+            "Triton gains at 512 M >= 0.95x its gain at 2048 M",
+            |_, rows| {
+                // Paper: 1.4x for 128/512 M vs 1.1x for 2048 M.
+                let (mid, large) = (
+                    gain(rows, "Triton (BC)", 512)?,
+                    gain(rows, "Triton (BC)", 2048)?,
+                );
+                ensure(mid >= large * 0.95, || format!("{mid} vs {large}"))
+            },
+        ),
+    ],
+};
+
+gate_tests!(2048, {
+    npj_caching_pays_off_for_small_workloads: ["a full cache speeds NPJ up > 2x at 512 M"],
+    triton_robust_across_cache_sizes: [
+        "Triton spreads < 2x and a full cache keeps 80% of its best",
+    ],
+    triton_gains_more_at_smaller_sizes: ["Triton gains at 512 M >= 0.95x its gain at 2048 M"],
+});

@@ -10,6 +10,9 @@
 use triton_core::TritonJoin;
 use triton_datagen::{WorkloadSpec, KEY_BYTES};
 use triton_hw::HwConfig;
+
+use super::PAPER_WORKLOADS;
+use crate::sweep::{every, gate_tests, Cell, Sweep};
 use triton_part::{cpu_prefix_sum_cost, gpu_prefix_sum, PassConfig, Span};
 
 /// One workload group.
@@ -62,61 +65,46 @@ pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
         .collect()
 }
 
-/// Print both panels.
-pub fn print(hw: &HwConfig, sizes: &[u64]) {
-    crate::banner("Fig 20", "prefix sum on the CPU vs on the GPU");
-    let mut t = crate::Table::new([
-        "M tuples",
-        "join w/ CPU PS (G/s)",
-        "join w/ GPU PS (G/s)",
-        "CPU PS (GiB/s)",
-        "GPU PS (GiB/s)",
-    ]);
-    for r in run(hw, sizes) {
-        t.row([
-            r.m_tuples.to_string(),
-            crate::f3(r.join_cpu_ps),
-            crate::f3(r.join_gpu_ps),
-            crate::f1(r.ps_cpu_gibs),
-            crate::f1(r.ps_gpu_gibs),
-        ]);
-    }
-    t.print();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cpu_prefix_sum_faster_than_gpu() {
-        let hw = HwConfig::ac922().scaled(2048);
-        for r in run(&hw, &[128, 2048]) {
-            // Paper: CPU 1.6-2.2x faster at the scan itself.
-            let ratio = r.ps_cpu_gibs / r.ps_gpu_gibs;
-            assert!(
-                (1.3..=2.6).contains(&ratio),
-                "{} M: ratio {ratio}",
-                r.m_tuples
-            );
-            // GPU pinned near the unidirectional link bandwidth.
-            assert!((50.0..=66.0).contains(&r.ps_gpu_gibs), "{r:?}");
-            // CPU near its scan bandwidth (paper: up to 129.6 GiB/s).
-            assert!((95.0..=135.0).contains(&r.ps_cpu_gibs), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn join_prefers_cpu_prefix_sum() {
-        let hw = HwConfig::ac922().scaled(2048);
-        for r in run(&hw, &[512, 2048]) {
-            let speedup = r.join_cpu_ps / r.join_gpu_ps;
+/// The committed sweep, `BENCH_fig20.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig20",
+    schema: "triton-bench/fig20/v1",
+    header: &[],
+    columns: &[
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("join_cpu_ps", |r| Cell::Num(r.join_cpu_ps)),
+        ("join_gpu_ps", |r| Cell::Num(r.join_gpu_ps)),
+        ("ps_cpu_gibs", |r| Cell::Num(r.ps_cpu_gibs)),
+        ("ps_gpu_gibs", |r| Cell::Num(r.ps_gpu_gibs)),
+    ],
+    rows: PAPER_WORKLOADS.len(),
+    run: |hw| run(hw, &PAPER_WORKLOADS),
+    gates: &[
+        (
+            "CPU scans 1.3-2.6x faster: CPU at 95-135, GPU at 50-66 GiB/s",
+            |_, rows| {
+                // Paper: CPU 1.6-2.2x faster at the scan itself, near its scan
+                // bandwidth (up to 129.6 GiB/s); the GPU is pinned near the
+                // unidirectional link bandwidth.
+                every(rows, |r| {
+                    (1.3..=2.6).contains(&(r.ps_cpu_gibs / r.ps_gpu_gibs))
+                        && (50.0..=66.0).contains(&r.ps_gpu_gibs)
+                        && (95.0..=135.0).contains(&r.ps_cpu_gibs)
+                })
+            },
+        ),
+        ("a CPU prefix sum speeds the join 1.0-1.35x", |_, rows| {
             // Paper: ~1.1x; the prefix sum is a small share of the join.
-            assert!(
-                (1.0..=1.35).contains(&speedup),
-                "{} M: speedup {speedup}",
-                r.m_tuples
-            );
-        }
-    }
-}
+            every(rows, |r| {
+                (1.0..=1.35).contains(&(r.join_cpu_ps / r.join_gpu_ps))
+            })
+        }),
+    ],
+};
+
+gate_tests!(2048, {
+    cpu_prefix_sum_faster_than_gpu: [
+        "CPU scans 1.3-2.6x faster: CPU at 95-135, GPU at 50-66 GiB/s",
+    ],
+    join_prefers_cpu_prefix_sum: ["a CPU prefix sum speeds the join 1.0-1.35x"],
+});

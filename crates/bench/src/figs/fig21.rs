@@ -11,6 +11,9 @@ use triton_core::{NoPartitioningJoin, TritonJoin};
 use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 
+use super::PAPER_WORKLOADS;
+use crate::sweep::{ensure, gate_tests, row, Cell, Sweep};
+
 /// One measured point.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -50,52 +53,63 @@ pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
     rows
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig, sizes: &[u64]) {
-    crate::banner("Fig 21", "build-to-probe ratios at constant data volume");
-    let mut t = crate::Table::new(["M tuples", "R:S", "NPJ LP", "NPJ Perfect", "Triton"]);
-    for r in run(hw, sizes) {
-        t.row([
-            r.m_tuples.to_string(),
-            format!("1:{}", r.ratio),
-            format!("{:.4}", r.npj_lp),
-            crate::f3(r.npj_perfect),
-            crate::f3(r.triton),
-        ]);
-    }
-    t.print();
+/// The 2048 M row at ratio 1:`ratio`.
+fn at(rows: &[Row], ratio: u64) -> Result<&Row, String> {
+    row(rows, &format!("1:{ratio} at 2048 M"), |r| {
+        r.m_tuples == 2048 && r.ratio == ratio
+    })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The committed sweep, `BENCH_fig21.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig21",
+    schema: "triton-bench/fig21/v1",
+    header: &[],
+    columns: &[
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("ratio", |r| Cell::Int(r.ratio)),
+        ("npj_lp", |r| Cell::Num(r.npj_lp)),
+        ("npj_perfect", |r| Cell::Num(r.npj_perfect)),
+        ("triton", |r| Cell::Num(r.triton)),
+    ],
+    rows: RATIOS.len() * PAPER_WORKLOADS.len(),
+    run: |hw| run(hw, &PAPER_WORKLOADS),
+    gates: &[
+        (
+            "at 2048 M, LP runs 20x faster at 1:32 than at 1:1",
+            |_, rows| {
+                // Paper: 1:32 is up to 3414x faster than 1:1 for linear probing.
+                let (lp_1, lp_32) = (at(rows, 1)?.npj_lp, at(rows, 32)?.npj_lp);
+                ensure(lp_32 > lp_1 * 20.0, || {
+                    format!("LP swing {lp_1} -> {lp_32}")
+                })
+            },
+        ),
+        (
+            "at 2048 M, Triton stays within 1.6x across ratios",
+            |_, rows| {
+                // Paper: 1.66-1.88 G/s.
+                let t = rows.iter().filter(|r| r.m_tuples == 2048).map(|r| r.triton);
+                let t_min = t.clone().fold(f64::INFINITY, f64::min);
+                let t_max = t.fold(0.0f64, f64::max);
+                ensure(t_max / t_min < 1.6, || {
+                    format!("Triton band {t_min}..{t_max}")
+                })
+            },
+        ),
+        ("at 2048 M and 1:32, NPJ perfect beats Triton", |_, rows| {
+            // A no-partitioning join should be preferred for high probe
+            // ratios (the small build side stays in-core).
+            let r = at(rows, 32)?;
+            ensure(r.npj_perfect > r.triton, || format!("{r:?}"))
+        }),
+    ],
+};
 
-    #[test]
-    fn triton_insensitive_npj_very_sensitive() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[2048]);
-        let lp_1 = rows.iter().find(|r| r.ratio == 1).unwrap();
-        let lp_32 = rows.iter().find(|r| r.ratio == 32).unwrap();
-        // Paper: 1:32 is up to 3414x faster than 1:1 for linear probing.
-        assert!(
-            lp_32.npj_lp > lp_1.npj_lp * 20.0,
-            "LP swing {} -> {}",
-            lp_1.npj_lp,
-            lp_32.npj_lp
-        );
-        // Triton stays within a narrow band (paper: 1.66-1.88 G/s).
-        let t_min = rows.iter().map(|r| r.triton).fold(f64::INFINITY, f64::min);
-        let t_max = rows.iter().map(|r| r.triton).fold(0.0f64, f64::max);
-        assert!(t_max / t_min < 1.6, "Triton band {t_min}..{t_max}");
-    }
-
-    #[test]
-    fn npj_preferred_at_extreme_ratios() {
-        // Paper conclusion: a no-partitioning join should be preferred
-        // for high probe ratios (the small build side stays in-core).
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[2048]);
-        let at_32 = rows.iter().find(|r| r.ratio == 32).unwrap();
-        assert!(at_32.npj_perfect > at_32.triton, "{at_32:?}");
-    }
-}
+gate_tests!(2048, {
+    triton_insensitive_npj_very_sensitive: [
+        "at 2048 M, LP runs 20x faster at 1:32 than at 1:1",
+        "at 2048 M, Triton stays within 1.6x across ratios",
+    ],
+    npj_preferred_at_extreme_ratios: ["at 2048 M and 1:32, NPJ perfect beats Triton"],
+});

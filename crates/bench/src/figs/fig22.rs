@@ -10,6 +10,11 @@ use triton_core::{run_with_materialization, Materialization};
 use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 
+use crate::sweep::{ensure, gate_tests, row, Cell, Sweep};
+
+/// Workload size in modeled M tuples (the paper's mid size).
+pub const M_TUPLES: u64 = 512;
+
 /// One measured point.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -57,77 +62,58 @@ pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     rows
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig, m_tuples: u64) {
-    crate::banner(
-        "Fig 22",
-        "tuple width: payload attributes and materialization",
-    );
-    let mut t = crate::Table::new(["M tuples", "payloads", "strategy", "G tuples/s"]);
-    for r in run(hw, m_tuples) {
-        t.row([
-            r.m_tuples.to_string(),
-            r.payloads.to_string(),
-            r.strategy.to_string(),
-            crate::f3(r.gtps),
-        ]);
-    }
-    t.print();
+/// The `strategy` row at `payloads` attributes.
+fn at<'a>(rows: &'a [Row], strategy: &str, payloads: usize) -> Result<&'a Row, String> {
+    row(rows, &format!("{strategy} at {payloads} payloads"), |r| {
+        r.strategy == strategy && r.payloads == payloads
+    })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The committed sweep, `BENCH_fig22.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig22",
+    schema: "triton-bench/fig22/v1",
+    header: &[],
+    columns: &[
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("payloads", |r| Cell::Int(r.payloads as u64)),
+        ("strategy", |r| Cell::Str(r.strategy)),
+        ("gtps", |r| Cell::Num(r.gtps)),
+    ],
+    rows: 1 + 2 * WIDTHS.len(),
+    run: |hw| run(hw, M_TUPLES),
+    gates: &[
+        (
+            "late at 16 payloads < 1/8 of the join index and < 0.4 G/s",
+            |_, rows| {
+                // Paper: ~2 G tuples/s for the index vs 86-88 M tuples/s at 16
+                // late payloads.
+                let (idx, late16) = (at(rows, "join index", 0)?, at(rows, "late", 16)?);
+                ensure(late16.gtps < idx.gtps / 8.0 && late16.gtps < 0.4, || {
+                    format!("index {} vs late16 {}", idx.gtps, late16.gtps)
+                })
+            },
+        ),
+        ("late never gains > 5% with width", |_, rows| {
+            let late: Vec<&Row> = rows.iter().filter(|r| r.strategy == "late").collect();
+            for w in late.windows(2) {
+                ensure(w[1].gtps <= w[0].gtps * 1.05, || format!("{w:?}"))?;
+            }
+            Ok(())
+        }),
+        ("early beats 2x late at 16 payloads", |_, rows| {
+            let (early16, late16) = (at(rows, "early", 16)?, at(rows, "late", 16)?);
+            ensure(early16.gtps > late16.gtps * 2.0, || {
+                format!("{early16:?} vs {late16:?}")
+            })
+        }),
+    ],
+};
 
-    #[test]
-    fn late_materialization_collapses() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, 512);
-        let idx = rows.iter().find(|r| r.strategy == "join index").unwrap();
-        let late16 = rows
-            .iter()
-            .find(|r| r.strategy == "late" && r.payloads == 16)
-            .unwrap();
-        // Paper: ~2 G tuples/s for the index vs 86-88 M tuples/s at 16
-        // late payloads — a >10x collapse.
-        assert!(
-            late16.gtps < idx.gtps / 8.0,
-            "index {} vs late16 {}",
-            idx.gtps,
-            late16.gtps
-        );
-        assert!(late16.gtps < 0.4, "late16 absolute {}", late16.gtps);
-    }
-
-    #[test]
-    fn late_monotonically_degrades() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, 512);
-        let late: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.strategy == "late")
-            .map(|r| r.gtps)
-            .collect();
-        for w in late.windows(2) {
-            assert!(w[1] <= w[0] * 1.05, "late must not improve with width");
-        }
-    }
-
-    #[test]
-    fn early_degrades_more_gently() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, 512);
-        let early16 = rows
-            .iter()
-            .find(|r| r.strategy == "early" && r.payloads == 16)
-            .unwrap();
-        let late16 = rows
-            .iter()
-            .find(|r| r.strategy == "late" && r.payloads == 16)
-            .unwrap();
-        assert!(
-            early16.gtps > late16.gtps * 2.0,
-            "{early16:?} vs {late16:?}"
-        );
-    }
-}
+gate_tests!(2048, {
+    late_materialization_collapses: [
+        "late at 16 payloads < 1/8 of the join index and < 0.4 G/s",
+    ],
+    late_monotonically_degrades: ["late never gains > 5% with width"],
+    early_degrades_more_gently: ["early beats 2x late at 16 payloads"],
+});

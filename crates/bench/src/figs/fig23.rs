@@ -8,6 +8,9 @@ use triton_core::{CpuRadixJoin, HashScheme, NoPartitioningJoin, TritonJoin};
 use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 
+use super::PAPER_WORKLOADS;
+use crate::sweep::{ensure, gate_tests, row, Cell, Sweep};
+
 /// One bar of Fig 23.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -51,54 +54,53 @@ pub fn run(hw: &HwConfig, sizes: &[u64]) -> Vec<Row> {
     rows
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig, sizes: &[u64]) {
-    crate::banner("Fig 23", "performance per Watt");
-    let mut t = crate::Table::new(["M tuples", "operator", "M tuples/s/W"]);
-    for r in run(hw, sizes) {
-        t.row([
-            r.m_tuples.to_string(),
-            r.operator.to_string(),
-            crate::f1(r.mtps_per_w),
-        ]);
-    }
-    t.print();
+/// The `operator` row (matched by a label fragment) at `m` M tuples.
+fn at<'a>(rows: &'a [Row], m: u64, operator: &str) -> Result<&'a Row, String> {
+    row(rows, &format!("{operator} at {m} M"), |r| {
+        r.m_tuples == m && r.operator.contains(operator)
+    })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The committed sweep, `BENCH_fig23.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig23",
+    schema: "triton-bench/fig23/v1",
+    header: &[],
+    columns: &[
+        ("m_tuples", |r| Cell::Int(r.m_tuples)),
+        ("operator", |r| Cell::Str(r.operator)),
+        ("mtps_per_w", |r| Cell::Num(r.mtps_per_w)),
+    ],
+    rows: 3 * PAPER_WORKLOADS.len(),
+    run: |hw| run(hw, &PAPER_WORKLOADS),
+    gates: &[
+        (
+            "at 2048 M, the CPU beats Triton per Watt at 5-11 M/s/W",
+            |_, rows| {
+                // Paper: the CPU is the most power-efficient processor
+                // (7-9.4 M tuples/s/W) because the GPU cannot shed its host's
+                // idle power.
+                let (cpu, triton) = (at(rows, 2048, "CPU")?, at(rows, 2048, "Triton")?);
+                ensure(
+                    cpu.mtps_per_w > triton.mtps_per_w && (5.0..=11.0).contains(&cpu.mtps_per_w),
+                    || format!("{cpu:?} vs {triton:?}"),
+                )
+            },
+        ),
+        ("Triton per Watt falls from 128 to 2048 M", |_, rows| {
+            let (small, large) = (at(rows, 128, "Triton")?, at(rows, 2048, "Triton")?);
+            ensure(small.mtps_per_w > large.mtps_per_w, || {
+                format!("{small:?} vs {large:?}")
+            })
+        }),
+    ],
+};
 
-    #[test]
-    fn cpu_wins_on_efficiency_for_large_joins() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[2048]);
-        let cpu = rows.iter().find(|r| r.operator.contains("CPU")).unwrap();
-        let triton = rows.iter().find(|r| r.operator.contains("Triton")).unwrap();
-        // Paper: the CPU is the most power-efficient processor
-        // (7-9.4 M tuples/s/W) because the GPU cannot shed its host's
-        // idle power.
-        assert!(
-            cpu.mtps_per_w > triton.mtps_per_w,
-            "cpu {} vs triton {}",
-            cpu.mtps_per_w,
-            triton.mtps_per_w
-        );
-        assert!((5.0..=11.0).contains(&cpu.mtps_per_w), "{cpu:?}");
-    }
-
-    #[test]
-    fn efficiency_tracks_throughput_within_an_executor() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, &[128, 2048]);
-        let t128 = rows
-            .iter()
-            .find(|r| r.m_tuples == 128 && r.operator.contains("Triton"))
-            .unwrap();
-        let t2048 = rows
-            .iter()
-            .find(|r| r.m_tuples == 2048 && r.operator.contains("Triton"))
-            .unwrap();
-        assert!(t128.mtps_per_w > t2048.mtps_per_w);
-    }
-}
+gate_tests!(2048, {
+    cpu_wins_on_efficiency_for_large_joins: [
+        "at 2048 M, the CPU beats Triton per Watt at 5-11 M/s/W",
+    ],
+    efficiency_tracks_throughput_within_an_executor: [
+        "Triton per Watt falls from 128 to 2048 M",
+    ],
+});

@@ -12,6 +12,11 @@ use triton_core::TritonJoin;
 use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 
+use crate::sweep::{ensure, gate_tests, row, Cell, Sweep};
+
+/// Workload size in modeled M tuples (the paper's mid size).
+pub const M_TUPLES: u64 = 512;
+
 /// One SM-count point.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -53,56 +58,68 @@ pub fn run(hw_base: &HwConfig, m_tuples: u64) -> Vec<Row> {
         .collect()
 }
 
-/// Print the figure.
-pub fn print(hw: &HwConfig, m_tuples: u64) {
-    crate::banner("Fig 24", "compute-power scaling (SM count)");
-    let mut t = crate::Table::new(["SMs", "% of max", "Part 1 share", "Join share"]);
-    for r in run(hw, m_tuples) {
-        let share = |name: &str| {
-            r.breakdown
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, f)| *f)
-                .unwrap_or(0.0)
-        };
-        t.row([
-            r.sms.to_string(),
-            crate::f1(r.pct_of_max),
-            crate::pct(share("Part 1")),
-            crate::pct(share("Join")),
-        ]);
-    }
-    t.print();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn throughput_saturates_before_full_sm_count() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, 512);
-        let at = |sms: u32| rows.iter().find(|r| r.sms == sms).unwrap().pct_of_max;
-        // Paper: 28 SMs -> >= 75% of peak; 55 SMs -> >= 95%.
-        assert!(at(28) >= 70.0, "28 SMs at {}%", at(28));
-        assert!(at(55) >= 90.0, "55 SMs at {}%", at(55));
-        // Monotone (within noise).
-        for w in rows.windows(2) {
-            assert!(w[1].pct_of_max >= w[0].pct_of_max - 3.0);
-        }
-    }
-
-    #[test]
-    fn diminishing_returns_at_the_top() {
-        let hw = HwConfig::ac922().scaled(2048);
-        let rows = run(&hw, 512);
-        let at = |sms: u32| rows.iter().find(|r| r.sms == sms).unwrap().pct_of_max;
-        let low_gain = at(20) - at(10);
-        let high_gain = at(80) - at(70);
-        assert!(
-            low_gain > high_gain,
-            "scaling must flatten: +{low_gain} early vs +{high_gain} late"
-        );
+impl Row {
+    /// `kernel`'s share of the time at this SM count (0..1).
+    fn share(&self, kernel: &str) -> f64 {
+        self.breakdown
+            .iter()
+            .find(|(n, _)| n == kernel)
+            .map_or(0.0, |(_, f)| *f)
     }
 }
+
+/// Throughput at `sms` SMs in percent of the 80-SM throughput.
+fn pct_at(rows: &[Row], sms: u32) -> Result<f64, String> {
+    row(rows, &format!("{sms} SMs"), |r| r.sms == sms).map(|r| r.pct_of_max)
+}
+
+/// The committed sweep, `BENCH_fig24.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "fig24",
+    schema: "triton-bench/fig24/v1",
+    header: &[("m_tuples", Cell::Int(M_TUPLES))],
+    columns: &[
+        ("sms", |r| Cell::Int(r.sms.into())),
+        ("pct_of_max", |r| Cell::Num(r.pct_of_max)),
+        ("part1_share", |r| Cell::Num(r.share("Part 1"))),
+        ("join_share", |r| Cell::Num(r.share("Join"))),
+    ],
+    rows: SM_AXIS.len(),
+    run: |hw| run(hw, M_TUPLES),
+    gates: &[
+        ("28 SMs reach 70% and 55 SMs 90% of peak", |_, rows| {
+            // Paper: 28 SMs -> >= 75% of peak; 55 SMs -> >= 95%.
+            let (at28, at55) = (pct_at(rows, 28)?, pct_at(rows, 55)?);
+            ensure(at28 >= 70.0 && at55 >= 90.0, || format!("{at28}%, {at55}%"))
+        }),
+        (
+            "throughput never drops > 3 points with more SMs",
+            |_, rows| {
+                for w in rows.windows(2) {
+                    ensure(w[1].pct_of_max >= w[0].pct_of_max - 3.0, || {
+                        format!(
+                            "{} SMs: {} -> {}",
+                            w[1].sms, w[0].pct_of_max, w[1].pct_of_max
+                        )
+                    })?;
+                }
+                Ok(())
+            },
+        ),
+        ("10 -> 20 SMs gains more than 70 -> 80", |_, rows| {
+            let low_gain = pct_at(rows, 20)? - pct_at(rows, 10)?;
+            let high_gain = pct_at(rows, 80)? - pct_at(rows, 70)?;
+            ensure(low_gain > high_gain, || {
+                format!("+{low_gain} early vs +{high_gain} late")
+            })
+        }),
+    ],
+};
+
+gate_tests!(2048, {
+    throughput_saturates_before_full_sm_count: [
+        "28 SMs reach 70% and 55 SMs 90% of peak",
+        "throughput never drops > 3 points with more SMs",
+    ],
+    diminishing_returns_at_the_top: ["10 -> 20 SMs gains more than 70 -> 80"],
+});

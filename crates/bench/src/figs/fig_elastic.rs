@@ -154,13 +154,16 @@ pub const SWEEP: Sweep<Row> = Sweep {
     ],
     rows: 2 * BURST_AXIS.len(),
     run: |hw| run(hw, DEFAULT_M_TUPLES),
-    print,
     gates: &[
         ("elastic sheds nothing", |_, rows| {
             every(rows, |r| r.policy != "elastic" || r.shed == 0)
         }),
         ("fixed sheds at least once", |_, rows| {
-            let (_, fixed, _) = shed_totals(rows);
+            let fixed: u64 = rows
+                .iter()
+                .filter(|r| r.policy == "fixed")
+                .map(|r| r.shed)
+                .sum();
             ensure(fixed >= 1, || "no burst made the fixed policy shed".into())
         }),
         ("every result exact", |_, rows| every(rows, |r| r.exact)),
@@ -172,51 +175,6 @@ pub const SWEEP: Sweep<Row> = Sweep {
         }),
     ],
 };
-
-/// The acceptance comparison: total sheds under each policy across the
-/// sweep, plus whether every row stayed exact.
-pub fn shed_totals(rows: &[Row]) -> (u64, u64, bool) {
-    let shed = |policy: &str| {
-        rows.iter()
-            .filter(|r| r.policy == policy)
-            .map(|r| r.shed)
-            .sum()
-    };
-    (shed("elastic"), shed("fixed"), rows.iter().all(|r| r.exact))
-}
-
-/// Print the sweep's table.
-pub fn print(rows: &[Row]) {
-    crate::banner(
-        "Fig elastic",
-        "admission bursts: elastic vs fixed memory grants",
-    );
-    let mut t = crate::Table::new([
-        "policy",
-        "burst",
-        "completed",
-        "shed",
-        "p99 (us)",
-        "makespan (us)",
-        "revisions",
-        "reclaimed (KiB)",
-    ]);
-    for r in rows {
-        t.row([
-            r.policy.to_string(),
-            r.burst.to_string(),
-            r.completed.to_string(),
-            r.shed.to_string(),
-            format!("{:.1}", r.p99_ns / 1e3),
-            format!("{:.1}", r.makespan_ns / 1e3),
-            r.grant_revisions.to_string(),
-            (r.grant_reclaimed_bytes / 1024).to_string(),
-        ]);
-    }
-    t.print();
-    let (elastic, fixed, exact) = shed_totals(rows);
-    println!("shed totals: elastic {elastic}, fixed {fixed}, exact results: {exact}");
-}
 
 #[cfg(test)]
 mod tests {

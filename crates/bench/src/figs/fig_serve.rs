@@ -348,7 +348,6 @@ pub const SWEEP: Sweep<Row> = Sweep {
     ],
     rows: MIXES.len() * (LOAD_AXIS.len() + 1),
     run,
-    print,
     gates: &[
         ("outcomes cover submissions", |_, rows| {
             every(rows, |r| r.completed + r.shed == r.submitted)
@@ -410,43 +409,6 @@ pub const SWEEP: Sweep<Row> = Sweep {
         }),
     ],
 };
-
-/// Print the trajectory's table.
-pub fn print(rows: &[Row]) {
-    crate::banner(
-        "Fig serve",
-        "sustained load: telemetry, SLO attainment, and the chaos points",
-    );
-    let mut t = crate::Table::new([
-        "mix",
-        "mode",
-        "load",
-        "done/sub",
-        "p99 (us)",
-        "SLO (ppm)",
-        "burn (ppm)",
-        "revisions",
-        "tenants",
-        "cost hit%",
-        "prefix",
-    ]);
-    for r in rows {
-        t.row([
-            r.mix.to_string(),
-            r.mode.to_string(),
-            crate::f3(r.load),
-            format!("{}/{}", r.completed, r.submitted),
-            format!("{:.1}", r.p99_ns / 1e3),
-            r.slo_attainment_ppm.to_string(),
-            r.max_budget_burn_ppm.to_string(),
-            r.grant_revisions.to_string(),
-            r.tenants.to_string(),
-            format!("{:.1}", r.cost_cache_hit_ppm as f64 / 10_000.0),
-            r.build_prefix_hits.to_string(),
-        ]);
-    }
-    t.print();
-}
 
 #[cfg(test)]
 mod tests {

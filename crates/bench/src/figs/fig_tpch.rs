@@ -144,7 +144,6 @@ pub const SWEEP: Sweep<Row> = Sweep {
     ],
     rows: 2 * 2 * THETA_AXIS.len() * M_AXIS.len(),
     run: |hw| run(hw, &M_AXIS),
-    print,
     gates: &[
         (
             "pipelined < materialized at the Q3 operating point",
@@ -191,45 +190,6 @@ pub fn win_at_q3_operating_point(rows: &[Row]) -> Option<f64> {
             .map(|r| r.total_ns)
     };
     Some(1.0 - at("pipelined")? / at("materialized")?)
-}
-
-/// Print the sweep's table.
-pub fn print(rows: &[Row]) {
-    crate::banner(
-        "Fig TPC-H",
-        "Q3/Q9 plans: GPU-resident pipelining vs materialize-everything",
-    );
-    let mut t = crate::Table::new([
-        "query",
-        "mode",
-        "theta",
-        "M tuples",
-        "total (us)",
-        "G tuples/s",
-        "matz (us)",
-        "edges r/m",
-        "peak (KiB)",
-    ]);
-    for r in rows {
-        t.row([
-            r.query.to_string(),
-            r.mode.to_string(),
-            format!("{:.2}", r.theta),
-            r.m_tuples.to_string(),
-            format!("{:.1}", r.total_ns / 1e3),
-            crate::f3(r.gtps),
-            format!("{:.1}", r.materialize_ns / 1e3),
-            format!("{}/{}", r.resident_edges, r.materialized_edges),
-            (r.peak_footprint_bytes / 1024).to_string(),
-        ]);
-    }
-    t.print();
-    if let Some(win) = win_at_q3_operating_point(rows) {
-        println!(
-            "pipelined win at the Q3 operating point: {:.1}%",
-            win * 100.0
-        );
-    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@ use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 use triton_part::{gpu_prefix_sum, make_partitioner, Algorithm, PassConfig, Span};
 
+use crate::sweep::{ensure, every, gate_tests, row, Cell, Sweep};
+
 /// One measured row of Table 1.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -85,67 +87,65 @@ pub fn run(hw: &HwConfig) -> Vec<Row> {
         .collect()
 }
 
-/// Print the measured design-goal matrix.
-pub fn print(hw: &HwConfig) {
-    crate::banner("Table 1", "partitioning design goals (measured)");
-    let mut t = crate::Table::new([
-        "algorithm",
-        "space efficient",
-        "partial txns @256",
-        "perfect coalescing",
-        "fanout-2048 retention",
-        "GiB/s @2048",
-        "high fanout",
-    ]);
-    for r in run(hw) {
-        t.row([
-            r.algorithm.name().to_string(),
-            tick(r.space_efficient),
-            crate::pct(r.partial_txn_fraction),
-            tick(r.perfect_coalescing),
-            crate::pct(r.high_fanout_retention),
-            crate::f1(r.high_fanout_gibs),
-            tick(r.high_fanout),
-        ]);
-    }
-    t.print();
+/// The row of `alg`.
+fn at(rows: &[Row], alg: Algorithm) -> Result<&Row, String> {
+    row(rows, alg.name(), |r| r.algorithm == alg)
 }
 
-fn tick(b: bool) -> String {
-    if b {
-        "yes".into()
-    } else {
-        "no".into()
-    }
-}
+/// The committed sweep, `BENCH_table1.json`.
+pub const SWEEP: Sweep<Row> = Sweep {
+    name: "table1",
+    schema: "triton-bench/table1/v1",
+    header: &[],
+    columns: &[
+        ("algorithm", |r| Cell::Str(r.algorithm.name())),
+        ("space_efficient", |r| Cell::Bool(r.space_efficient)),
+        ("partial_txn_fraction", |r| {
+            Cell::Num(r.partial_txn_fraction)
+        }),
+        ("perfect_coalescing", |r| Cell::Bool(r.perfect_coalescing)),
+        ("high_fanout_retention", |r| {
+            Cell::Num(r.high_fanout_retention)
+        }),
+        ("high_fanout_gibs", |r| Cell::Num(r.high_fanout_gibs)),
+        ("high_fanout", |r| Cell::Bool(r.high_fanout)),
+    ],
+    rows: 4,
+    run,
+    gates: &[
+        (
+            "only Shared and Hierarchical coalesce perfectly",
+            |_, rows| {
+                every(rows, |r| {
+                    r.perfect_coalescing
+                        == matches!(r.algorithm, Algorithm::Shared | Algorithm::Hierarchical)
+                })
+            },
+        ),
+        ("Standard is not high-fanout capable", |_, rows| {
+            let standard = at(rows, Algorithm::Standard)?;
+            ensure(!standard.high_fanout, || format!("{standard:?}"))
+        }),
+        (
+            "Hierarchical is high-fanout capable and retains more than Shared",
+            |_, rows| {
+                let (h, s) = (
+                    at(rows, Algorithm::Hierarchical)?,
+                    at(rows, Algorithm::Shared)?,
+                );
+                ensure(
+                    h.high_fanout && h.high_fanout_retention > s.high_fanout_retention,
+                    || format!("{h:?} vs {s:?}"),
+                )
+            },
+        ),
+    ],
+};
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn matrix_matches_paper() {
-        let hw = HwConfig::ac922().scaled(4096);
-        let rows = run(&hw);
-        let get = |alg: Algorithm| rows.iter().find(|r| r.algorithm == alg).unwrap();
-
-        // Shared and Hierarchical coalesce perfectly; Linear/Standard not.
-        assert!(get(Algorithm::Shared).perfect_coalescing);
-        assert!(get(Algorithm::Hierarchical).perfect_coalescing);
-        assert!(!get(Algorithm::Standard).perfect_coalescing);
-        assert!(!get(Algorithm::Linear).perfect_coalescing);
-
-        // Standard and Linear are not high-fanout capable.
-        assert!(!get(Algorithm::Standard).high_fanout);
-        // Only Hierarchical combines coalescing with high fanout.
-        let h = get(Algorithm::Hierarchical);
-        assert!(h.high_fanout, "retention {}", h.high_fanout_retention);
-        let s = get(Algorithm::Shared);
-        assert!(
-            h.high_fanout_retention > s.high_fanout_retention,
-            "hier {} vs shared {}",
-            h.high_fanout_retention,
-            s.high_fanout_retention
-        );
-    }
-}
+gate_tests!(4096, {
+    matrix_matches_paper: [
+        "only Shared and Hierarchical coalesce perfectly",
+        "Standard is not high-fanout capable",
+        "Hierarchical is high-fanout capable and retains more than Shared",
+    ],
+});

@@ -2,14 +2,14 @@
 //!
 //! The experiment harness: one module per table/figure of the paper's
 //! evaluation (Section 6), each exposing a typed `run(...)` function that
-//! regenerates the figure's rows over the simulated hardware, plus a
-//! printer. Thin binaries under `src/bin/` drive them; integration tests
-//! call the same functions and assert the paper's shapes. The committed
-//! `BENCH_*.json` sweeps are declared once each in [`sweep`] form and
-//! written and gated by the one `sweep` binary.
+//! regenerates the figure's rows over the simulated hardware and
+//! declaring them once as a [`sweep::Sweep`]: its columns, its committed
+//! `BENCH_<name>.json` and the paper's shapes as gates. The one `sweep`
+//! binary writes, prints and gates every declared sweep
+//! ([`figs::SWEEPS`]).
 //!
-//! All experiments honour the `TRITON_SCALE` environment variable (the
-//! capacity scale factor K; default 512). Axis labels stay in the paper's
+//! The `sweep` binary honours the `TRITON_SCALE` environment variable
+//! (the capacity scale factor K; default 512). Axis labels stay in the paper's
 //! units — "128 M tuples" runs `128 M / K` actual tuples against
 //! capacities divided by K, which the scaling argument in `triton-hw`
 //! makes throughput-equivalent.
@@ -23,24 +23,35 @@ pub mod sweep;
 
 use triton_hw::HwConfig;
 
-/// Default capacity scale factor for bench binaries.
+/// Default capacity scale factor K.
 pub const DEFAULT_SCALE: u64 = 512;
 
-/// Read the scale factor from `TRITON_SCALE` (default [`DEFAULT_SCALE`]).
-pub fn scale() -> u64 {
-    std::env::var("TRITON_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&k| k >= 1)
-        .unwrap_or(DEFAULT_SCALE)
+/// Parse a `TRITON_SCALE` value: unset is [`DEFAULT_SCALE`], anything
+/// but a positive integer is an error.
+fn parse_scale(value: Option<&str>) -> Result<u64, String> {
+    match value {
+        None => Ok(DEFAULT_SCALE),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&k| k >= 1)
+            .ok_or_else(|| format!("TRITON_SCALE={v:?} is not a positive integer")),
+    }
 }
 
-/// The scaled AC922 configuration used by all experiments.
-pub fn hw() -> HwConfig {
-    HwConfig::ac922().scaled(scale())
+/// The scale factor `TRITON_SCALE` selects (see [`parse_scale`]).
+fn scale() -> Result<u64, String> {
+    let value = std::env::var_os("TRITON_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(value.as_deref())
 }
 
-/// Fixed-width table printer for experiment output.
+/// The AC922 configuration scaled by the factor `TRITON_SCALE` selects
+/// (default [`DEFAULT_SCALE`]); `Err` when it is not a positive integer.
+pub fn hw() -> Result<HwConfig, String> {
+    Ok(HwConfig::ac922().scaled(scale()?))
+}
+
+/// Fixed-width table printer for sweep output.
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -97,30 +108,6 @@ impl Table {
     }
 }
 
-/// Format a float with 3 decimals.
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// Format a float with 1 decimal.
-pub fn f1(v: f64) -> String {
-    format!("{v:.1}")
-}
-
-/// Format a fraction as a percentage.
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
-}
-
-/// Print an experiment banner.
-pub fn banner(name: &str, what: &str) {
-    println!("\n=== {name} — {what}");
-    println!(
-        "    (scale K = {}, paper-axis units; see DESIGN.md for the scaling argument)\n",
-        scale()
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,8 +132,17 @@ mod tests {
 
     #[test]
     fn scale_default() {
-        if std::env::var("TRITON_SCALE").is_err() {
-            assert_eq!(scale(), DEFAULT_SCALE);
+        if std::env::var_os("TRITON_SCALE").is_none() {
+            assert_eq!(scale(), Ok(DEFAULT_SCALE));
+        }
+    }
+
+    #[test]
+    fn scale_rejects_anything_but_a_positive_integer() {
+        assert_eq!(parse_scale(Some("2048")), Ok(2048));
+        for bad in ["abc", "0", ""] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(err.contains("TRITON_SCALE"), "{bad:?}: {err}");
         }
     }
 }

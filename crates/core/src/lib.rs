@@ -42,7 +42,6 @@ pub mod cpu_radix;
 pub mod elastic;
 pub mod hash_table;
 pub mod materialize;
-pub mod multi_gpu;
 pub mod npj;
 pub mod reference;
 pub mod report;
@@ -62,7 +61,6 @@ pub use hash_table::{
     BucketChainTable, HashScheme, LinearProbeTable, PerfectArrayTable, BUCKET_CHAIN_ENTRIES,
 };
 pub use materialize::{run_with_materialization, Materialization};
-pub use multi_gpu::MultiGpuTritonJoin;
 pub use npj::NoPartitioningJoin;
 pub use reference::reference_join;
 pub use report::{

@@ -109,7 +109,7 @@ fn zipf_exactness_per_skew_mechanism() {
         ("split_heavy", SkewPolicy::Aware(mech(false, false, true))),
         ("combined", SkewPolicy::aware()),
     ];
-    for theta in [0.5, 1.0, 1.75] {
+    for theta in [0.5, 1.0, 1.5, 1.75] {
         let w = WorkloadSpec::skewed(256, theta, 512).generate();
         let expect = reference_join(&w);
         for (name, policy) in &policies {
@@ -194,4 +194,64 @@ fn wide_tuple_workloads_join_correctly() {
             assert_eq!(rep.result, reference_join(&w), "{strategy:?}");
         }
     }
+}
+
+/// Throughput is scale-invariant: the same modeled workload at different
+/// capacity scale factors K yields (nearly) the same G tuples/s — the
+/// property DESIGN.md's substitution argument rests on.
+#[test]
+fn throughput_invariant_under_capacity_scaling() {
+    for m in [512u64, 2048] {
+        let mut tputs = Vec::new();
+        for k in [1024u64, 2048, 4096] {
+            let hw = HwConfig::ac922().scaled(k);
+            let w = WorkloadSpec::paper_default(m, k).generate();
+            tputs.push(TritonJoin::default().run(&w, &hw).throughput_gtps());
+        }
+        let min = tputs.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = tputs.iter().copied().fold(0.0f64, f64::max);
+        assert!(
+            max / min < 1.35,
+            "{m} M: throughput varies {tputs:?} across K"
+        );
+    }
+}
+
+/// Determinism: two same-seed skew-aware runs produce byte-identical
+/// results, reports, and replayed traces (schedule, placement and all).
+#[test]
+fn skew_aware_trace_replays_byte_identical() {
+    use triton_core::{record_overlap, record_report, SkewPolicy};
+    use triton_trace::{to_chrome_json, Trace};
+    let hw = HwConfig::ac922().scaled(512);
+    let render = || {
+        let w = WorkloadSpec::skewed(512, 1.5, 512).generate();
+        let rep = TritonJoin {
+            skew: SkewPolicy::aware(),
+            ..TritonJoin::default()
+        }
+        .run(&w, &hw);
+        let mut trace = Trace::new();
+        let end = record_report(&mut trace, 1, 1, 0.0, 1.0, &rep, &hw);
+        record_overlap(
+            &mut trace,
+            1,
+            2,
+            3,
+            end,
+            1.0,
+            rep.overlap.as_ref().unwrap(),
+            rep.placement.as_ref(),
+        );
+        (rep.result, to_chrome_json(&trace))
+    };
+    let (r1, t1) = render();
+    let (r2, t2) = render();
+    assert_eq!(r1, r2, "same-seed results must be byte-identical");
+    assert_eq!(t1, t2, "same-seed trace replay must be byte-identical");
+    assert!(t1.contains("sched_pos"), "trace must carry the schedule");
+    assert!(
+        t1.contains("pair_gpu_bytes"),
+        "trace must carry placement decisions"
+    );
 }
