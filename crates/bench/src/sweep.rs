@@ -462,6 +462,31 @@ pub(crate) mod tests {
         );
     }
 
+    /// The θ = 1.5 gates on the committed-scale run (`skewed(512, 1.5,
+    /// 512)` at K = 512, where the blind executor overflows staging), and
+    /// both executors exact against the reference on that same join.
+    #[test]
+    fn skew_aware_beats_blind_executor_on_zipf_1_5() {
+        use triton_core::{reference_join, SkewPolicy, TritonJoin};
+        use triton_datagen::WorkloadSpec;
+
+        SKEW.holds(&[
+            "skew-aware total <= 0.85 x blind at theta 1.5",
+            "blind spills and aware does not at theta 1.5",
+        ]);
+        let (hw, _) = SKEW.get();
+        let w = WorkloadSpec::skewed(fig_skew::DEFAULT_M_TUPLES, 1.5, hw.scale).generate();
+        let expect = reference_join(&w);
+        for skew in [SkewPolicy::Off, SkewPolicy::aware()] {
+            let rep = TritonJoin {
+                skew,
+                ..TritonJoin::default()
+            }
+            .run(&w, hw);
+            assert_eq!(rep.result, expect, "{skew:?} diverged from the reference");
+        }
+    }
+
     /// Row indices follow each figure's axes in run order.
     #[test]
     fn every_figure_renders_its_schema_and_every_gate_fires() {
