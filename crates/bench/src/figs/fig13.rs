@@ -4,7 +4,8 @@
 //! Series: CPU radix join on POWER9 and Xeon, the GPU no-partitioning
 //! join with linear probing and perfect hashing, and the Triton join with
 //! bucket chaining and perfect hashing. The POWER9 radix join also runs
-//! with perfect hashing, for Fig 1's CPU-vs-GPU crossover claim.
+//! with perfect hashing (`cpu_p9_perfect`), Fig 1's CPU series for its
+//! CPU-vs-GPU crossover claim.
 
 use triton_core::{CpuRadixJoin, HashScheme, NoPartitioningJoin, TritonJoin};
 use triton_datagen::WorkloadSpec;
@@ -76,8 +77,8 @@ fn at(rows: &[Row], m: u64) -> Result<&Row, String> {
     row(rows, &format!("{m} M"), |r| r.m_tuples == m)
 }
 
-/// The committed sweep, `BENCH_fig13.json`. Fig 1 is its `cpu_p9`,
-/// `npj_perfect` and `triton_perfect` columns.
+/// The committed sweep, `BENCH_fig13.json`. Fig 1 is its
+/// `cpu_p9_perfect`, `npj_perfect` and `triton_perfect` columns.
 pub const SWEEP: Sweep<Row> = Sweep {
     name: "fig13",
     schema: "triton-bench/fig13/v1",

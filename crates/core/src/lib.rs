@@ -39,7 +39,6 @@ pub mod aggregate;
 pub mod bloom;
 pub mod cpu_partitioned;
 pub mod cpu_radix;
-pub mod elastic;
 pub mod hash_table;
 pub mod materialize;
 pub mod npj;
@@ -56,7 +55,6 @@ pub use aggregate::{
 pub use bloom::BloomFilter;
 pub use cpu_partitioned::CpuPartitionedJoin;
 pub use cpu_radix::CpuRadixJoin;
-pub use elastic::{levels_needed, spill_order, ElasticPolicy, GrantSchedule, GrantStep};
 pub use hash_table::{
     BucketChainTable, HashScheme, LinearProbeTable, PerfectArrayTable, BUCKET_CHAIN_ENTRIES,
 };

@@ -32,6 +32,10 @@ use triton_hw::units::{Bytes, Ns};
 use triton_hw::HwConfig;
 use triton_mem::PlacementPlan;
 
+/// A build partition is *heavy* when it exceeds this multiple of the
+/// mean build-partition size.
+const HEAVY_MULTIPLE: u64 = 4;
+
 /// Which skew mechanisms are active under [`SkewPolicy::Aware`]. Each can
 /// be toggled independently so tests and ablations isolate one mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,10 +46,6 @@ pub struct SkewMechanisms {
     pub lpt: bool,
     /// Extra second-pass bits for heavy build partitions.
     pub split_heavy: bool,
-    /// A build partition is *heavy* when it exceeds this multiple of the
-    /// mean build-partition size (integer, so the policy stays `Eq` and
-    /// deterministic).
-    pub heavy_multiple: u32,
 }
 
 impl Default for SkewMechanisms {
@@ -54,7 +54,6 @@ impl Default for SkewMechanisms {
             hot_cache: true,
             lpt: true,
             split_heavy: true,
-            heavy_multiple: 4,
         }
     }
 }
@@ -101,7 +100,7 @@ impl SkewPolicy {
         if !m.split_heavy || mean_tuples == 0 {
             return 0;
         }
-        let threshold = mean_tuples.saturating_mul(u64::from(m.heavy_multiple.max(1)));
+        let threshold = mean_tuples.saturating_mul(HEAVY_MULTIPLE);
         if build_tuples <= threshold || threshold == 0 {
             return 0;
         }

@@ -18,8 +18,6 @@
 //! (Section 5.2, Fig 11): the second pass of pair *i+1* overlaps the join
 //! of pair *i*, hiding the spill reload behind compute.
 
-use std::collections::BTreeMap;
-
 use triton_datagen::{Workload, TUPLE_BYTES};
 use triton_hw::kernel::{lpt_order, pipeline2, pipeline2_scheduled, KernelCost};
 use triton_hw::power::Executor;
@@ -32,7 +30,6 @@ use triton_part::{
 };
 
 use crate::bloom::BloomFilter;
-use crate::elastic::{spill_order, ElasticPolicy};
 use crate::hash_table::{BucketChainTable, HashScheme, BUCKET_CHAIN_ENTRIES};
 use crate::report::{
     JoinReport, JoinResult, OverlapLanes, PairPlacement, PhaseReport, PlacementReport,
@@ -50,11 +47,6 @@ const PASS2_TARGET_TUPLES: u64 = 1536;
 const JOIN_BUILD_INSTR: u64 = 14;
 const JOIN_PROBE_INSTR: u64 = 12;
 const JOIN_CHAIN_INSTR: u64 = 3;
-
-/// Per-tuple instructions of one runtime re-partitioning level
-/// (histogram + scatter, the same constant the skew estimator prices the
-/// executed partitioning passes with).
-const REPART_INSTR: u64 = 8;
 
 /// Configuration of the Triton join.
 #[derive(Debug, Clone)]
@@ -105,12 +97,6 @@ pub struct TritonJoin {
     /// heavy-hitter splitting. [`SkewPolicy::Off`] preserves the uniform
     /// executor bit for bit.
     pub skew: SkewPolicy,
-    /// Elastic memory policy: mid-query grant revisions replayed at
-    /// partition-pair boundaries (evicting coldest pairs first through
-    /// the link cost model) and depth-bounded runtime re-partitioning
-    /// when a pair overflows its staging grant. The disabled default
-    /// preserves the fixed-grant executor bit for bit.
-    pub elastic: ElasticPolicy,
 }
 
 impl Default for TritonJoin {
@@ -129,7 +115,6 @@ impl Default for TritonJoin {
             interleaved_cache: true,
             overlap: true,
             skew: SkewPolicy::Off,
-            elastic: ElasticPolicy::default(),
         }
     }
 }
@@ -465,121 +450,17 @@ impl TritonJoin {
         let mut part3_all = KernelCost::new("Part 3");
         let mut sched_all = KernelCost::new("Sched");
         let mut join_all = KernelCost::new("Join");
-        let mut reclaim_all = KernelCost::new("Reclaim");
-        let mut repart_all = KernelCost::new("Repart");
         let (mut ps2_t, mut part2_t, mut spill_t, mut part3_t, mut sched_t, mut join_t) =
             (Ns::ZERO, Ns::ZERO, Ns::ZERO, Ns::ZERO, Ns::ZERO, Ns::ZERO);
-        let (mut reclaim_t, mut repart_t) = (Ns::ZERO, Ns::ZERO);
-
-        // --- Elastic grant state. A mid-query schedule revises the cache
-        // budget at pair boundaries: a shrink evicts the GPU-resident
-        // share of the *coldest unprocessed* pairs (by the pass-1 hotness
-        // histogram) through the link, a grow re-pins the hottest evicted
-        // ones; a pair reaching the pipeline while its resident share is
-        // still evicted pays an explicit reload. All of it is priced into
-        // the `Reclaim` phase; answers never change, only time.
-        let elastic_on = self.elastic.enabled;
-        let hotness: Vec<u64> = (0..fanout1)
-            .map(|j| (hist_r.totals[j] + hist_s.totals[j]) * TUPLE_BYTES)
-            .collect();
-        let resident_of = |j: usize| {
-            let r_off = hist_r.offsets[j] as u64 * TUPLE_BYTES;
-            let s_off = hist_s.offsets[j] as u64 * TUPLE_BYTES;
-            r_layout
-                .split_range(r_off, hist_r.totals[j] * TUPLE_BYTES)
-                .0
-                + s_layout
-                    .split_range(s_off, hist_s.totals[j] * TUPLE_BYTES)
-                    .0
-        };
-        // Pair index → resident bytes currently evicted by a shrink.
-        let mut evicted: BTreeMap<usize, u64> = BTreeMap::new();
-        let mut elastic_cache = cache;
-        let mut next_step = 0usize;
-        let stream = |k: &mut KernelCost, bytes: u64, evicting: bool| {
-            if bytes == 0 {
-                return Ns::ZERO;
-            }
-            k.tuples_in += bytes / TUPLE_BYTES;
-            let mut leg = KernelCost::new("Reclaim");
-            leg.sms = half_sms;
-            if evicting {
-                leg.gpu_mem.read += Bytes(bytes);
-                leg.link.seq_write += Bytes(bytes);
-            } else {
-                leg.gpu_mem.write += Bytes(bytes);
-                leg.link.seq_read += Bytes(bytes);
-            }
-            let t = leg.timing(hw).total;
-            k.merge(&leg);
-            t
-        };
 
         let mut pass2_cfg_proto = PassConfig::new(0, b1);
         pass2_cfg_proto.sms = half_sms;
 
         for i in 0..fanout1 {
-            // Apply every grant revision scheduled at this pair boundary.
-            while elastic_on
-                && next_step < self.elastic.schedule.steps.len()
-                && self.elastic.schedule.steps[next_step].at_pair <= i as u64
-            {
-                let target = self.elastic.schedule.steps[next_step].cache_bytes;
-                next_step += 1;
-                if target < elastic_cache {
-                    // Shrink: evict resident state of unprocessed pairs,
-                    // coldest first, until the reclaimed bytes cover it.
-                    let mut need = elastic_cache - target;
-                    for &j in &spill_order(&hotness) {
-                        if need == 0 {
-                            break;
-                        }
-                        if j < i {
-                            continue;
-                        }
-                        let held = resident_of(j).saturating_sub(*evicted.get(&j).unwrap_or(&0));
-                        let take = held.min(need);
-                        if take == 0 {
-                            continue;
-                        }
-                        *evicted.entry(j).or_insert(0) += take;
-                        need -= take;
-                        reclaim_t += stream(&mut reclaim_all, take, true);
-                    }
-                } else if target > elastic_cache {
-                    // Grow: re-pin evicted state, hottest first, paying
-                    // the reload now instead of at processing time.
-                    let mut back = target - elastic_cache;
-                    for &j in spill_order(&hotness).iter().rev() {
-                        if back == 0 {
-                            break;
-                        }
-                        if j < i {
-                            continue;
-                        }
-                        let Some(held) = evicted.get_mut(&j) else {
-                            continue;
-                        };
-                        let take = (*held).min(back);
-                        *held -= take;
-                        back -= take;
-                        reclaim_t += stream(&mut reclaim_all, take, false);
-                    }
-                    evicted.retain(|_, held| *held > 0);
-                }
-                elastic_cache = target;
-            }
             let (rk, rr) = parts_r.partition(i);
             let (sk, sr) = parts_s.partition(i);
             if rk.is_empty() && sk.is_empty() {
                 continue;
-            }
-            // A pair whose resident share was evicted by a shrink streams
-            // it back before its second pass can run.
-            if elastic_on {
-                if let Some(held) = evicted.remove(&i) {
-                    reclaim_t += stream(&mut reclaim_all, held, false);
-                }
             }
             // Heavy-hitter splitting: build partitions far above the mean
             // get extra second-pass bits, still under the scratchpad cap.
@@ -621,29 +502,10 @@ impl TritonJoin {
             // each chunk is its own pipeline lane, so no single stage-B
             // straggler dominates the schedule. The blind executor
             // instead overflows (charged below).
-            // Runtime re-partitioning: when a pair overflows its staging
-            // grant (and heavy-hitter splitting is not already chunking
-            // it), the elastic executor refines the offending pair with
-            // `repart_bits` extra radix bits per recursion level — each
-            // level an in-GPU partitioning pass — until the sub-pairs fit,
-            // bounded by `max_depth`. The sub-pairs then stream through
-            // staging as their own pipeline lanes; anything still past the
-            // bound spills flat (bounded recursion, never unbounded).
-            let repart_depth = if elastic_on
-                && staging_demand > staging_capacity
-                && !self.skew.mechanisms().is_some_and(|m| m.split_heavy)
-            {
-                self.elastic
-                    .depth_for(staging_demand, staging_capacity.max(1))
-            } else {
-                0
-            };
             let lanes = if self.skew.mechanisms().is_some_and(|m| m.split_heavy)
                 && staging_demand > staging_capacity
             {
                 staging_demand.div_ceil(staging_capacity.max(1)).min(64)
-            } else if repart_depth > 0 {
-                (1u64 << (self.elastic.repart_bits * repart_depth).min(6)).min(64)
             } else {
                 1
             };
@@ -701,39 +563,14 @@ impl TritonJoin {
                 (None, None, !pair_spilled)
             };
 
-            // Each re-partitioning level reads and rescatters the pair
-            // within GPU memory while it streams through staging.
-            if repart_depth > 0 {
-                let pair_tuples = (rk.len() + sk.len()) as u64;
-                for _ in 0..repart_depth {
-                    let mut rp = KernelCost::new("Repart");
-                    rp.sms = half_sms;
-                    rp.tuples_in = pair_tuples;
-                    rp.instructions = pair_tuples * REPART_INSTR;
-                    rp.gpu_mem.read += Bytes(pair_bytes_total);
-                    rp.gpu_mem.write += Bytes(pair_bytes_total);
-                    let t = rp.timing(hw).total;
-                    repart_t += t;
-                    a_time += t;
-                    repart_all.merge(&rp);
-                }
-            }
-
             // Staging overflow: without heavy-hitter splitting, a pair
             // bigger than the free GPU memory cannot be materialized at
             // once — the executor evicts the overflow to CPU memory while
             // the second pass is still scattering, then reloads it for
             // the join. The two transfers sit in different pipeline steps
             // and cannot overlap each other, so each is timed on its own.
-            // Under elastic re-partitioning only the share a lane still
-            // cannot stage after `max_depth` levels overflows this way.
             let flat_excess = if lanes == 1 && staging_demand > staging_capacity {
                 staging_demand - staging_capacity
-            } else if repart_depth > 0 {
-                staging_demand
-                    .div_ceil(lanes)
-                    .saturating_sub(staging_capacity)
-                    .saturating_mul(lanes)
             } else {
                 0
             };
@@ -900,8 +737,6 @@ impl TritonJoin {
             (ps2_all, ps2_t),
             (part2_all, part2_t),
             (spill_all, spill_t),
-            (reclaim_all, reclaim_t),
-            (repart_all, repart_t),
             (part3_all, part3_t),
             (sched_all, sched_t),
             (join_all, join_t),
@@ -937,10 +772,7 @@ impl TritonJoin {
         } else {
             pipeline2_scheduled(&stage_a, &stage_b, &order)
         };
-        // Grant-revision reclaim traffic happens at pair boundaries and
-        // monopolizes the link while it runs, so it serializes against
-        // the pipeline rather than hiding inside a lane.
-        let total = bloom_time + ps1_time + part1_time + pipeline_time + reclaim_t;
+        let total = bloom_time + ps1_time + part1_time + pipeline_time;
 
         let placement = PlacementReport {
             policy: if cache_plan.is_some() {
@@ -1162,125 +994,5 @@ mod tests {
         let join_phase = rep.phases.iter().find(|p| p.name == "Join").unwrap();
         let written = join_phase.cost.as_ref().unwrap().link.seq_write.0;
         assert_eq!(written, rep.result.matches * TUPLE_BYTES);
-    }
-
-    #[test]
-    fn elastic_with_no_revisions_is_bit_identical_to_fixed() {
-        // Enabling the policy without a schedule (and without overflow)
-        // must not perturb the model by a single bit: the elastic paths
-        // are strictly additive.
-        let hw = HwConfig::ac922().scaled(2048);
-        let w = WorkloadSpec::paper_default(8, 512).generate();
-        let fixed = TritonJoin::default().run(&w, &hw);
-        let elastic = TritonJoin {
-            elastic: crate::elastic::ElasticPolicy::adaptive(),
-            ..TritonJoin::default()
-        }
-        .run(&w, &hw);
-        assert_eq!(elastic.result, fixed.result);
-        assert_eq!(elastic.total.0.to_bits(), fixed.total.0.to_bits());
-        let names = |r: &JoinReport| r.phases.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
-        assert_eq!(names(&elastic), names(&fixed));
-        assert!(names(&fixed)
-            .iter()
-            .all(|n| n != "Reclaim" && n != "Repart"));
-    }
-
-    #[test]
-    fn grant_shrink_preserves_results_and_prices_the_reclaim() {
-        use crate::elastic::{ElasticPolicy, GrantSchedule, GrantStep};
-        let hw = HwConfig::ac922().scaled(2048);
-        let w = WorkloadSpec::paper_default(8, 512).generate();
-        let expect = reference_join(&w);
-        let baseline = TritonJoin::default().run(&w, &hw);
-        // A mid-query shrink to zero cache: every unprocessed pair's
-        // resident share is evicted through the link, then streamed back
-        // as each pair reaches its second pass.
-        let shrink = TritonJoin {
-            elastic: ElasticPolicy::with_schedule(GrantSchedule::new(vec![GrantStep {
-                at_pair: 1,
-                cache_bytes: 0,
-            }])),
-            ..TritonJoin::default()
-        }
-        .run(&w, &hw);
-        assert_eq!(shrink.result, expect, "a grant revision changed answers");
-        let reclaim = shrink
-            .phases
-            .iter()
-            .find(|p| p.name == "Reclaim")
-            .expect("shrinking a cached join must emit a Reclaim phase");
-        let cost = reclaim.cost.as_ref().unwrap();
-        assert!(cost.link.seq_write.0 > 0, "eviction must cross the link");
-        assert!(cost.link.seq_read.0 > 0, "reload must cross the link");
-        assert!(
-            shrink.total.0 > baseline.total.0,
-            "reclaim traffic is not free: {} vs {}",
-            shrink.total,
-            baseline.total
-        );
-        // Shrink-then-grow restores residency early (the grow pays the
-        // reload up front); answers are still identical.
-        let regrow = TritonJoin {
-            elastic: ElasticPolicy::with_schedule(GrantSchedule::new(vec![
-                GrantStep {
-                    at_pair: 1,
-                    cache_bytes: 0,
-                },
-                GrantStep {
-                    at_pair: 2,
-                    cache_bytes: u64::MAX,
-                },
-            ])),
-            ..TritonJoin::default()
-        }
-        .run(&w, &hw);
-        assert_eq!(regrow.result, expect);
-        assert!(regrow.phases.iter().any(|p| p.name == "Reclaim"));
-    }
-
-    #[test]
-    fn runtime_repartitioning_is_depth_bounded_and_beats_flat_spill() {
-        use crate::elastic::ElasticPolicy;
-        let hw = HwConfig::ac922().scaled(512);
-        // Zipf 1.5: the hot pair overflows the staging area. The blind
-        // executor pays the flat spill round-trip over the link; the
-        // elastic one refines the pair in GPU memory instead.
-        let w = WorkloadSpec::skewed(512, 1.5, 512).generate();
-        let expect = reference_join(&w);
-        let flat = TritonJoin::default().run(&w, &hw);
-        assert!(
-            flat.phases.iter().any(|p| p.name == "Spill"),
-            "workload must overflow staging for this test to bite"
-        );
-        let elastic = TritonJoin {
-            elastic: ElasticPolicy::adaptive(),
-            ..TritonJoin::default()
-        }
-        .run(&w, &hw);
-        assert_eq!(elastic.result, expect, "re-partitioning changed answers");
-        assert!(
-            elastic.phases.iter().any(|p| p.name == "Repart"),
-            "overflow under the elastic policy must re-partition"
-        );
-        assert!(
-            elastic.total.0 <= flat.total.0,
-            "in-GPU re-partitioning should not lose to the link round-trip: {} vs {}",
-            elastic.total,
-            flat.total
-        );
-        // A zero depth bound forbids recursion entirely: the executor
-        // falls back to the flat spill, bit-identical to the fixed path.
-        let depth0 = TritonJoin {
-            elastic: ElasticPolicy {
-                max_depth: 0,
-                ..ElasticPolicy::adaptive()
-            },
-            ..TritonJoin::default()
-        }
-        .run(&w, &hw);
-        assert_eq!(depth0.result, expect);
-        assert!(depth0.phases.iter().all(|p| p.name != "Repart"));
-        assert_eq!(depth0.total.0.to_bits(), flat.total.0.to_bits());
     }
 }

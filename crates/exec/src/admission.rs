@@ -52,10 +52,6 @@ pub struct MemoryGrant {
     pub floor: Bytes,
 }
 
-/// Historical name of [`MemoryGrant`], kept so pre-elastic callers keep
-/// compiling.
-pub type Reservation = MemoryGrant;
-
 /// Accounting bugs the controller surfaces as typed errors in *release*
 /// builds (they used to be a `debug_assert`, which silently corrupted
 /// the budget once assertions were compiled out).
@@ -304,7 +300,7 @@ impl AdmissionController {
         id: QueryId,
         query: &JoinQuery,
         hw: &HwConfig,
-    ) -> Result<Reservation, OutOfMemory> {
+    ) -> Result<MemoryGrant, OutOfMemory> {
         self.try_admit_shrunk(id, query, hw, 0)
     }
 
@@ -318,7 +314,7 @@ impl AdmissionController {
         query: &JoinQuery,
         hw: &HwConfig,
         grant_shrink: u32,
-    ) -> Result<Reservation, OutOfMemory> {
+    ) -> Result<MemoryGrant, OutOfMemory> {
         let floor = self.min_reserve_of(query, hw);
         let free = self.available().0;
         if floor.0 > free {
@@ -469,7 +465,7 @@ fn reclaim_cost(delta: Bytes, evict: bool, hw: &HwConfig) -> Ns {
 /// Clone `query`'s operator with its cache budget clamped to the granted
 /// reservation, so the dedicated-run report reflects exactly the memory
 /// admission handed out.
-pub fn operator_with_grant(query: &JoinQuery, grant: &Reservation) -> Operator {
+pub fn operator_with_grant(query: &JoinQuery, grant: &MemoryGrant) -> Operator {
     match &query.op {
         Operator::Triton(j) => Operator::Triton(TritonJoin {
             cache_bytes: Some(grant.cache_grant),

@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use triton_core::JoinReport;
 
-use crate::admission::{operator_with_grant, Reservation};
+use crate::admission::{operator_with_grant, MemoryGrant};
 use crate::query::{JoinQuery, Operator};
 
 /// 128-bit fingerprint identifying `(workload, granted operator)`.
@@ -117,7 +117,7 @@ impl CostCache {
     pub fn price(
         &mut self,
         query: &JoinQuery,
-        grant: &Reservation,
+        grant: &MemoryGrant,
         hw: &triton_hw::HwConfig,
     ) -> (Result<JoinReport, triton_mem::OutOfMemory>, Memo) {
         let op = operator_with_grant(query, grant);
@@ -174,8 +174,8 @@ mod tests {
         HwConfig::ac922().scaled(2048)
     }
 
-    fn grant(cache: u64) -> Reservation {
-        Reservation {
+    fn grant(cache: u64) -> MemoryGrant {
+        MemoryGrant {
             reserved: Bytes(1 << 26),
             cache_grant: Bytes(cache),
             floor: Bytes(1 << 20),

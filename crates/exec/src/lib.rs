@@ -56,10 +56,8 @@
 //!   [`ElasticGrants`]) — admission grants are revisable contracts: the
 //!   scheduler shrinks running queries' optional cache shares in place
 //!   (priced through the link cost model, traced as `grant-revision`
-//!   events) before it ever revokes or sheds, and the join itself
-//!   absorbs mid-query shrinks by runtime re-partitioning with
-//!   depth-bounded recursive spilling
-//!   ([`triton_core::ElasticPolicy`]).
+//!   events) before it ever revokes or sheds; the shrunk query's join
+//!   re-runs at the revised `cache_bytes`.
 //!
 //! Execution stays functional: every admitted query really runs its
 //! operator and the per-query [`triton_core::JoinReport`] carries an
@@ -102,7 +100,7 @@ pub mod slo;
 
 pub use admission::{
     operator_with_grant, AdmissionController, AdmissionError, GrantRevision, MemoryGrant,
-    Reservation, RevisionOutcome,
+    RevisionOutcome,
 };
 pub use build_cache::{BuildCache, BuildHit, BUILD_RADIX_BITS, FULL_RANGE};
 pub use cost_cache::{CostCache, CostKey, Memo};

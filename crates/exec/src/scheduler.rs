@@ -58,7 +58,7 @@ use triton_metrics::MetricsRegistry;
 
 use triton_trace::{Attr, Trace};
 
-use crate::admission::{AdmissionController, GrantRevision, Reservation};
+use crate::admission::{AdmissionController, GrantRevision, MemoryGrant};
 use crate::build_cache::{BuildCache, FULL_RANGE};
 use crate::cost_cache::CostCache;
 use crate::demand::ResourceDemand;
@@ -336,7 +336,7 @@ struct Running {
     weight: f64,
     dedicated: Ns,
     report: JoinReport,
-    reservation: Reservation,
+    reservation: MemoryGrant,
     build_cache_hit: bool,
     uses_gpu: bool,
     op_label: &'static str,
@@ -540,7 +540,7 @@ impl<'a> World<'a> {
     /// Functional dedicated run of `query` under `grant`, memoized: a
     /// repeat (workload, grant) pricing replays the byte-identical report
     /// instead of re-running the operator.
-    fn price(&mut self, query: &JoinQuery, grant: &Reservation) -> Result<JoinReport, OutOfMemory> {
+    fn price(&mut self, query: &JoinQuery, grant: &MemoryGrant) -> Result<JoinReport, OutOfMemory> {
         let (priced, memo) = self.costs.price(query, grant, self.hw);
         self.obs.cost_cache(memo, self.clock);
         priced

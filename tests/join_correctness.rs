@@ -100,7 +100,6 @@ fn zipf_exactness_per_skew_mechanism() {
         hot_cache,
         lpt,
         split_heavy,
-        ..SkewMechanisms::default()
     };
     let policies = [
         ("off", SkewPolicy::Off),

@@ -211,138 +211,62 @@ fn triton_matches_reference() {
     });
 }
 
-/// Join results are byte-identical across *any* grant schedule: fixed
-/// grants, a single mid-query shrink, shrink-then-grow, and an
-/// adversarial fuzzed schedule all produce exactly the reference result.
-/// Grants move placement and time, never answers. The fuzz stream can be
-/// re-seeded from the environment (`TRITON_GRANT_FUZZ_SEED`) so CI can
-/// sweep several deterministic schedules.
+/// Join results are byte-identical across cache budgets: no cache, a
+/// random budget and the whole auto budget all produce exactly the
+/// reference result, under both skew policies, on uniform and Zipf 1.5
+/// keys. A mid-query grant shrink re-runs the join at a smaller
+/// `cache_bytes`, so this is the budget space the serving scheduler's
+/// revisions move through: budgets move placement and time, never
+/// answers. The fuzz stream can be re-seeded from the environment
+/// (`TRITON_GRANT_FUZZ_SEED`) so CI can sweep several deterministic
+/// streams.
 #[test]
-fn join_results_identical_across_grant_schedules() {
-    use triton_core::{ElasticPolicy, GrantSchedule, GrantStep};
+fn join_results_identical_across_cache_budgets() {
+    use triton_core::SkewPolicy;
     let env_seed: u64 = std::env::var("TRITON_GRANT_FUZZ_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    for_cases("join_results_identical_across_grant_schedules", |rng| {
+    let mut cached = 0u32;
+    for_cases("join_results_identical_across_cache_budgets", |rng| {
         if env_seed != 0 {
             // Re-seed the case stream so each CI seed draws different
-            // workloads and schedules, all still deterministic.
+            // workloads and budgets, all still deterministic.
             *rng = Rng::seed_from_u64(rng.next_u64() ^ env_seed.wrapping_mul(0x9E37_79B9));
         }
         let m = rng.gen_range_u64(1, 12);
+        let theta = [0.0, 1.5][rng.gen_index(2)];
         let hw = HwConfig::ac922().scaled(4096);
-        let mut spec = WorkloadSpec::paper_default(m, 2048);
+        let mut spec = WorkloadSpec::skewed(m, theta, 2048);
         spec.seed = rng.gen_range_u64(0, 99);
         let w = spec.generate();
         let expect = reference_join(&w);
-        let run = |policy: ElasticPolicy| {
-            TritonJoin {
-                elastic: policy,
-                ..TritonJoin::default()
+        let budgets = [0, rng.gen_range_u64(0, hw.gpu.mem_capacity.0), u64::MAX];
+        for skew in [SkewPolicy::Off, SkewPolicy::aware()] {
+            for cache in budgets {
+                let rep = TritonJoin {
+                    cache_bytes: Some(Bytes(cache)),
+                    skew,
+                    ..TritonJoin::default()
+                }
+                .run(&w, &hw);
+                assert_eq!(
+                    rep.result, expect,
+                    "theta {theta}, {skew:?}, cache_bytes {cache}"
+                );
+                let placement = rep.placement.expect("the Triton join reports placement");
+                if cache == 0 {
+                    assert_eq!(
+                        placement.cache_hit_bytes, 0,
+                        "a zero budget must cache nothing"
+                    );
+                } else if cache == u64::MAX && placement.cache_hit_bytes > 0 {
+                    cached += 1;
+                }
             }
-            .run(&w, &hw)
-            .result
-        };
-        // Fixed grants (policy disabled).
-        assert_eq!(run(ElasticPolicy::default()), expect, "fixed");
-        // One mid-query shrink.
-        let shrink_pair = rng.gen_range_u64(0, 8);
-        let one_shrink = GrantSchedule::new(vec![GrantStep {
-            at_pair: shrink_pair,
-            cache_bytes: 0,
-        }]);
-        assert_eq!(
-            run(ElasticPolicy::with_schedule(one_shrink)),
-            expect,
-            "one shrink"
-        );
-        // Shrink then grow back.
-        let shrink_grow = GrantSchedule::new(vec![
-            GrantStep {
-                at_pair: shrink_pair,
-                cache_bytes: 0,
-            },
-            GrantStep {
-                at_pair: shrink_pair + rng.gen_range_u64(1, 4),
-                cache_bytes: u64::MAX,
-            },
-        ]);
-        assert_eq!(
-            run(ElasticPolicy::with_schedule(shrink_grow)),
-            expect,
-            "shrink then grow"
-        );
-        // Adversarial fuzzed schedule: several steps, arbitrary budgets,
-        // same-pair collisions allowed.
-        let steps: Vec<GrantStep> = (0..rng.gen_range_u64(1, 6))
-            .map(|_| GrantStep {
-                at_pair: rng.gen_range_u64(0, 12),
-                cache_bytes: rng.next_u64() % (1 << rng.gen_range_u64(8, 40)),
-            })
-            .collect();
-        assert_eq!(
-            run(ElasticPolicy::with_schedule(GrantSchedule::new(steps))),
-            expect,
-            "fuzzed schedule"
-        );
-    });
-}
-
-/// `levels_needed` is exact: the returned depth is sufficient (the
-/// demand, halved `bits` per level, fits capacity) and minimal (one
-/// fewer level does not), and the policy clamp never exceeds its bound.
-#[test]
-fn recursion_depth_is_sufficient_minimal_and_bounded() {
-    use triton_core::{levels_needed, ElasticPolicy};
-    for_cases("recursion_depth_is_sufficient_minimal_and_bounded", |rng| {
-        let demand = rng.gen_range_u64(1, u64::MAX >> 8);
-        let capacity = rng.gen_range_u64(1, u64::MAX >> 8);
-        let bits = rng.gen_range_u64(1, 6) as u32;
-        let levels = levels_needed(demand, capacity, bits);
-        assert!(levels <= u64::BITS);
-        let after = |l: u32| {
-            let shift = (u64::from(bits) * u64::from(l)).min(63) as u32;
-            demand >> shift
-        };
-        if levels < u64::BITS {
-            assert!(after(levels) <= capacity, "depth must suffice");
-        }
-        if levels > 0 {
-            assert!(after(levels - 1) > capacity, "depth must be minimal");
-        }
-        let max_depth = rng.gen_range_u64(0, 5) as u32;
-        let p = ElasticPolicy {
-            max_depth,
-            repart_bits: bits,
-            ..ElasticPolicy::adaptive()
-        };
-        assert!(
-            p.depth_for(demand, capacity) <= max_depth,
-            "the policy clamp is a hard bound"
-        );
-    });
-}
-
-/// `spill_order` is always a permutation sorted coldest-first with index
-/// tie-breaks — the eviction order the elastic executor relies on.
-#[test]
-fn spill_order_is_a_coldest_first_permutation() {
-    use triton_core::spill_order;
-    for_cases("spill_order_is_a_coldest_first_permutation", |rng| {
-        let n = rng.gen_range_u64(0, 99) as usize;
-        let hotness: Vec<u64> = (0..n).map(|_| rng.gen_range_u64(0, 9)).collect();
-        let order = spill_order(&hotness);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "must be a permutation");
-        for pair in order.windows(2) {
-            assert!(
-                (hotness[pair[0]], pair[0]) < (hotness[pair[1]], pair[1]),
-                "coldest first, ties by index"
-            );
         }
     });
+    assert!(cached > 0, "no budget ever cached a byte: vacuous property");
 }
 
 /// The skew-aware LPT schedule is gated: the executor adopts the
