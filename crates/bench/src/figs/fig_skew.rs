@@ -11,7 +11,7 @@
 //! staging in probe-side chunks, staying flat. At θ = 1.5 the paper
 //! workload's skew-aware total is ≥ 15% lower.
 
-use triton_core::{SkewPolicy, TritonJoin};
+use triton_core::{reference_join, JoinResult, SkewPolicy, TritonJoin};
 use triton_datagen::WorkloadSpec;
 use triton_hw::HwConfig;
 
@@ -53,6 +53,12 @@ pub struct Row {
     pub lanes: u64,
     /// Join matches, for cross-policy sanity.
     pub matches: u64,
+    /// Join checksum (not a column).
+    pub checksum: u64,
+    /// `reference_join`'s result on this θ's workload (not a column):
+    /// both policies share the executor, so agreeing with each other
+    /// does not make them exact.
+    pub reference: JoinResult,
 }
 
 fn measure(
@@ -61,6 +67,7 @@ fn measure(
     w: &triton_datagen::Workload,
     hw: &HwConfig,
     theta: f64,
+    reference: JoinResult,
 ) -> Row {
     let rep = TritonJoin {
         skew,
@@ -88,17 +95,21 @@ fn measure(
             .map(|o| o.stage_a.len() as u64)
             .unwrap_or(0),
         matches: rep.result.matches,
+        checksum: rep.result.checksum,
+        reference,
     }
 }
 
 /// Run the sweep: both policies over [`THETA_AXIS`] on one workload
-/// size. Results are asserted identical across policies at every point.
+/// size. Results are asserted identical across policies at every point,
+/// and each row carries the reference result of its workload.
 pub fn run(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
     let mut rows = Vec::new();
     for &theta in &THETA_AXIS {
         let w = WorkloadSpec::skewed(m_tuples, theta, hw.scale).generate();
-        let off = measure("off", SkewPolicy::Off, &w, hw, theta);
-        let aware = measure("aware", SkewPolicy::aware(), &w, hw, theta);
+        let reference = reference_join(&w);
+        let off = measure("off", SkewPolicy::Off, &w, hw, theta, reference);
+        let aware = measure("aware", SkewPolicy::aware(), &w, hw, theta, reference);
         assert_eq!(
             off.matches, aware.matches,
             "policies diverged at theta {theta}"
@@ -170,6 +181,11 @@ pub const SWEEP: Sweep<Row> = Sweep {
             let (uniform, heavy) = (at(rows, 0.0)?.1, at(rows, 1.75)?.1);
             ensure(heavy.total_ns <= uniform.total_ns * 1.10, || {
                 format!("{} vs {}", heavy.total_ns, uniform.total_ns)
+            })
+        }),
+        ("every row equals reference_join", |_, rows| {
+            every(rows, |r| {
+                (r.matches, r.checksum) == (r.reference.matches, r.reference.checksum)
             })
         }),
         ("policies agree on matches at every theta", |_, rows| {

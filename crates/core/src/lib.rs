@@ -42,6 +42,7 @@ pub mod cpu_radix;
 pub mod hash_table;
 pub mod materialize;
 pub mod npj;
+mod par;
 pub mod reference;
 pub mod report;
 pub mod skew;

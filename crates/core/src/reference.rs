@@ -1,24 +1,29 @@
 //! Reference join used to verify every operator's functional result.
 
-use std::collections::BTreeMap;
-
 use triton_datagen::Workload;
 
 use crate::report::JoinResult;
 
-/// Straightforward hash join over `(key -> rid)`; the ground truth all
-/// simulated operators are checked against.
+/// Straightforward sort-merge join over `(key, rid)` pairs; the ground
+/// truth all simulated operators are checked against. The result is a
+/// count and a wrapping sum, so the order matches are found in does not
+/// matter.
 pub fn reference_join(w: &Workload) -> JoinResult {
-    let mut map: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for (k, r) in w.r.iter() {
-        map.entry(k).or_default().push(r);
-    }
+    let sorted = |mut pairs: Vec<(u64, u64)>| {
+        pairs.sort_unstable();
+        pairs
+    };
+    let r = sorted(w.r.iter().collect());
+    let s = sorted(w.s.iter().collect());
     let mut result = JoinResult::empty();
-    for (k, srid) in w.s.iter() {
-        if let Some(rrids) = map.get(&k) {
-            for &rrid in rrids {
-                result.add(rrid, srid);
-            }
+    let mut first = 0;
+    for (k, srid) in s {
+        // Both sides ascend, so R's run of equal keys only moves forward.
+        while r.get(first).is_some_and(|&(rk, _)| rk < k) {
+            first += 1;
+        }
+        for &(_, rrid) in r[first..].iter().take_while(|&&(rk, _)| rk == k) {
+            result.add(rrid, srid);
         }
     }
     result

@@ -18,19 +18,22 @@
 //! (Section 5.2, Fig 11): the second pass of pair *i+1* overlaps the join
 //! of pair *i*, hiding the spill reload behind compute.
 
+use std::ops::Range;
+
 use triton_datagen::{Workload, TUPLE_BYTES};
 use triton_hw::kernel::{lpt_order, pipeline2, pipeline2_scheduled, KernelCost};
 use triton_hw::power::Executor;
 use triton_hw::units::{Bytes, Ns};
 use triton_hw::{HwConfig, MemSide};
-use triton_mem::SimAllocator;
+use triton_mem::{HybridLayout, SimAllocator};
 use triton_part::{
     compute_histogram, cpu_prefix_sum_cost, gpu_prefix_sum, make_partitioner, Algorithm,
-    PassConfig, Span,
+    GpuPartitioner, HistogramResult, Partitioned, PassConfig, Span,
 };
 
 use crate::bloom::BloomFilter;
 use crate::hash_table::{BucketChainTable, HashScheme, BUCKET_CHAIN_ENTRIES};
+use crate::par;
 use crate::report::{
     JoinReport, JoinResult, OverlapLanes, PairPlacement, PhaseReport, PlacementReport,
 };
@@ -224,11 +227,26 @@ impl TritonJoin {
     /// inputs are already GPU-resident, whether the output stays resident
     /// for a downstream node, and an optional sink collecting the matched
     /// tuples. With default options this is exactly [`Self::try_run`].
+    /// A join of at least 65 536 tuples runs its independent host work
+    /// (R and S in the first pass, two ranges of partition pairs) on two
+    /// threads; the report and the sink are the same either way.
     pub fn try_run_with(
         &self,
         w: &Workload,
         hw: &HwConfig,
+        opts: JoinRunOptions<'_>,
+    ) -> Result<JoinReport, triton_mem::OutOfMemory> {
+        self.run_forked(w, hw, opts, Fork::Auto)
+    }
+
+    /// [`Self::try_run_with`] with the host-thread split chosen by `fork`.
+    /// The report and the sink do not depend on it.
+    pub(crate) fn run_forked(
+        &self,
+        w: &Workload,
+        hw: &HwConfig,
         mut opts: JoinRunOptions<'_>,
+        fork: Fork,
     ) -> Result<JoinReport, triton_mem::OutOfMemory> {
         let n_r = w.r.len();
 
@@ -266,6 +284,11 @@ impl TritonJoin {
             (&w.s.keys, &w.s.rids)
         };
         let n_s = s_keys.len();
+        let (fork, pair_split) = match fork {
+            Fork::Auto => (par::worth_forking(n_r + n_s), None),
+            Fork::Never => (false, None),
+            Fork::At(pair) => (true, Some(pair)),
+        };
 
         let r_bytes = n_r as u64 * TUPLE_BYTES;
         let s_bytes = n_s as u64 * TUPLE_BYTES;
@@ -317,11 +340,14 @@ impl TritonJoin {
             phases.push(p);
         }
 
-        // --- PS 1.
+        // --- PS 1: R's and S's histograms are independent.
         let pass1_cfg = PassConfig::new(b1, 0);
         let (hist_r, hist_s, ps1_time) = if self.gpu_prefix_sum {
-            let (hr, mut c1) = gpu_prefix_sum(&w.r.keys, &input_r, &pass1_cfg, hw, false);
-            let (hs, c2) = gpu_prefix_sum(s_keys, &input_s, &pass1_cfg, hw, false);
+            let ((hr, mut c1), (hs, c2)) = par::join(
+                fork,
+                || gpu_prefix_sum(&w.r.keys, &input_r, &pass1_cfg, hw, false),
+                || gpu_prefix_sum(s_keys, &input_s, &pass1_cfg, hw, false),
+            );
             let t = c1.timing(hw).total + c2.timing(hw).total;
             c1.merge(&c2);
             c1.name = "PS 1".into();
@@ -331,13 +357,15 @@ impl TritonJoin {
             });
             (hr, hs, t)
         } else {
-            let hr = compute_histogram(&w.r.keys, 1, b1, 0);
-            let hs = compute_histogram(s_keys, 1, b1, 0);
+            let (hr, hs) = par::join(
+                fork,
+                || compute_histogram(&w.r.keys, 1, b1, 0),
+                || compute_histogram(s_keys, 1, b1, 0),
+            );
             let t = cpu_prefix_sum_cost(n_r as u64, hw) + cpu_prefix_sum_cost(n_s as u64, hw);
             phases.push(PhaseReport::cpu("PS 1", t));
             (hr, hs, t)
         };
-
         // --- Working-set placement. The histograms are known here, so the
         // skew-aware planner can rank partition pairs by how much pipeline
         // time GPU residency would save and pin whole hot pairs through an
@@ -419,13 +447,24 @@ impl TritonJoin {
         // mean pairs — but a skewed hot pair can exceed it.
         let staging_capacity = alloc.available(MemSide::Gpu).0;
 
-        // --- Part 1 (out-of-core, Hierarchical by default).
-        let p1 = make_partitioner(self.pass1);
-        let (parts_r, mut c_p1r) = p1.partition(
-            &w.r.keys, &w.r.rids, &hist_r, &input_r, &r_span, &pass1_cfg, hw,
+        // --- Part 1 (out-of-core, Hierarchical by default). R and S
+        // scatter independently; each call builds its own emulator. The
+        // worker takes R, in plans the smaller side: memory it allocates
+        // stays in its own malloc arena, and giving it S raised
+        // plan-tpch's peak RSS by 3.6%.
+        let pass1 = self.pass1;
+        let ((parts_s, c_p1s), (parts_r, mut c_p1r)) = par::join(
+            fork,
+            || {
+                make_partitioner(pass1)
+                    .partition(s_keys, s_rids, &hist_s, &input_s, &s_span, &pass1_cfg, hw)
+            },
+            || {
+                make_partitioner(pass1).partition(
+                    &w.r.keys, &w.r.rids, &hist_r, &input_r, &r_span, &pass1_cfg, hw,
+                )
+            },
         );
-        let (parts_s, c_p1s) =
-            p1.partition(s_keys, s_rids, &hist_s, &input_s, &s_span, &pass1_cfg, hw);
         let part1_time = c_p1r.timing(hw).total + c_p1s.timing(hw).total;
         c_p1r.merge(&c_p1s);
         c_p1r.name = "Part 1".into();
@@ -435,312 +474,66 @@ impl TritonJoin {
         });
 
         // --- Per-partition second pass + join, pipelined on split SMs.
-        let p2 = make_partitioner(self.pass2);
-        let spilled = r_layout.cpu_bytes() + s_layout.cpu_bytes() > 0;
-        let mean_build = hist_r.mean_tuples();
-        let mut result = JoinResult::empty();
-        let mut stage_a: Vec<Ns> = Vec::with_capacity(fanout1);
-        let mut stage_b: Vec<Ns> = Vec::with_capacity(fanout1);
-        let mut est_a: Vec<Ns> = Vec::new();
-        let mut est_b: Vec<Ns> = Vec::new();
-        let mut placements: Vec<PairPlacement> = Vec::new();
-        let mut ps2_all = KernelCost::new("PS 2");
-        let mut part2_all = KernelCost::new("Part 2");
-        let mut spill_all = KernelCost::new("Spill");
-        let mut part3_all = KernelCost::new("Part 3");
-        let mut sched_all = KernelCost::new("Sched");
-        let mut join_all = KernelCost::new("Join");
-        let (mut ps2_t, mut part2_t, mut spill_t, mut part3_t, mut sched_t, mut join_t) =
-            (Ns::ZERO, Ns::ZERO, Ns::ZERO, Ns::ZERO, Ns::ZERO, Ns::ZERO);
-
-        let mut pass2_cfg_proto = PassConfig::new(0, b1);
-        pass2_cfg_proto.sms = half_sms;
-
-        for i in 0..fanout1 {
-            let (rk, rr) = parts_r.partition(i);
-            let (sk, sr) = parts_s.partition(i);
-            if rk.is_empty() && sk.is_empty() {
-                continue;
+        let pipeline = PairPipeline {
+            join: self,
+            hw,
+            parts_r: &parts_r,
+            parts_s: &parts_s,
+            hist_r: &hist_r,
+            hist_s: &hist_s,
+            r_span: &r_span,
+            s_span: &s_span,
+            r_layout: &r_layout,
+            s_layout: &s_layout,
+            estimates: estimates.as_deref(),
+            planned: cache_plan.is_some(),
+            spilled: r_layout.cpu_bytes() + s_layout.cpu_bytes() > 0,
+            mean_build: hist_r.mean_tuples(),
+            staging_capacity,
+            half_sms,
+            b1,
+            output_resident: opts.output_resident,
+        };
+        // Two contiguous ranges of pairs: the head runs here, the tail on
+        // a worker, and the tail's outcome folds in after the head's,
+        // exactly where the serial loop puts it. A join with a sink keeps
+        // one range: the tail's matches would wait in a second buffer
+        // beside the sink (plan-tpch's peak RSS rose 7% that way).
+        let split = (fork && opts.sink.is_none()).then(|| {
+            pair_split
+                .unwrap_or_else(|| balanced_split(&hist_r, &hist_s))
+                .min(fanout1)
+        });
+        let mut fold = PairFold::new(fanout1, false);
+        match split {
+            Some(mid) => {
+                let ((), tail) = par::join(
+                    true,
+                    || pipeline.run(0..mid, &mut fold, None),
+                    || {
+                        let mut tail = PairFold::new(fanout1 - mid, true);
+                        pipeline.run(mid..fanout1, &mut tail, None);
+                        tail
+                    },
+                );
+                fold.absorb(tail);
             }
-            // Heavy-hitter splitting: build partitions far above the mean
-            // get extra second-pass bits, still under the scratchpad cap.
-            let b2 = (self.pass2_bits(rk.len())
-                + self.skew.heavy_extra_bits(rk.len() as u64, mean_build))
-            .min(self.max_pass2_bits);
-            let mut a_time = Ns::ZERO;
-
-            let r_off = hist_r.offsets[i] as u64 * TUPLE_BYTES;
-            let s_off = hist_s.offsets[i] as u64 * TUPLE_BYTES;
-            let r_slice = r_span.slice(r_off);
-            let s_slice = s_span.slice(s_off);
-            let pair_r_bytes = rk.len() as u64 * TUPLE_BYTES;
-            let pair_s_bytes = sk.len() as u64 * TUPLE_BYTES;
-            // Under a placement plan, spill is a per-pair fact: pinned
-            // pairs skip the copy-in entirely. The uniform policies keep
-            // the global flag (every pair shares the interleave).
-            let pair_spilled = if cache_plan.is_some() {
-                r_layout.split_range(r_off, pair_r_bytes).1
-                    + s_layout.split_range(s_off, pair_s_bytes).1
-                    > 0
-            } else {
-                spilled
-            };
-            let pair_gpu = r_layout.split_range(r_off, pair_r_bytes).0
-                + s_layout.split_range(s_off, pair_s_bytes).0;
-            let pair_bytes_total = pair_r_bytes + pair_s_bytes;
-            // Staging demand of this pair: the second pass materializes
-            // its output in GPU memory, and a spilled pair is first
-            // copied into gpu_in by the PS 2 kernels.
-            let staging_demand = if b2 > 0 {
-                pair_bytes_total * (1 + u64::from(pair_spilled))
-            } else {
-                0
-            };
-            // Heavy-hitter splitting: the skew-aware executor knows pair
-            // sizes from the histograms, so a pair that outgrows the
-            // staging area is streamed through it in probe-side chunks —
-            // each chunk is its own pipeline lane, so no single stage-B
-            // straggler dominates the schedule. The blind executor
-            // instead overflows (charged below).
-            let lanes = if self.skew.mechanisms().is_some_and(|m| m.split_heavy)
-                && staging_demand > staging_capacity
-            {
-                staging_demand.div_ceil(staging_capacity.max(1)).min(64)
-            } else {
-                1
-            };
-            for lane in 0..lanes {
-                let share = |v: u64| {
-                    let per = v / lanes;
-                    if lane == 0 {
-                        v - per * (lanes - 1)
-                    } else {
-                        per
-                    }
-                };
-                placements.push(PairPlacement {
-                    part: i as u64,
-                    bytes: share(pair_bytes_total),
-                    gpu_bytes: share(pair_gpu),
-                    cached: pair_gpu == pair_bytes_total,
-                });
-                if let Some(est) = &estimates {
-                    est_a.push(est[i].stage_a(!pair_spilled) / lanes as f64);
-                    est_b.push(est[i].b / lanes as f64);
-                }
-            }
-
-            // Sub-histograms / sub-partitions of this pair.
-            let (sub_r, sub_s, joined_from_gpu) = if b2 > 0 {
-                let mut cfg = pass2_cfg_proto;
-                cfg.radix_bits = b2;
-                // PS 2: histogram over the pair, copying it into GPU
-                // memory when the array is (partially) spilled so the
-                // later kernels avoid a second interconnect pass.
-                let (h2r, mut cps_r) = gpu_prefix_sum(rk, &r_slice, &cfg, hw, pair_spilled);
-                let (h2s, cps_s) = gpu_prefix_sum(sk, &s_slice, &cfg, hw, pair_spilled);
-                let t = cps_r.timing(hw).total + cps_s.timing(hw).total;
-                cps_r.merge(&cps_s);
-                ps2_t += t;
-                a_time += t;
-                ps2_all.merge(&cps_r);
-
-                // Part 2: read the (now GPU-resident) pair, scatter into
-                // GPU memory.
-                let gpu_in = Span::gpu(1 << 46);
-                let gpu_out = Span::gpu(1 << 47);
-                let part2_in = if pair_spilled { &gpu_in } else { &r_slice };
-                let (pr2, mut cp2r) = p2.partition(rk, rr, &h2r, part2_in, &gpu_out, &cfg, hw);
-                let part2_in_s = if pair_spilled { &gpu_in } else { &s_slice };
-                let (ps2_parts, cp2s) = p2.partition(sk, sr, &h2s, part2_in_s, &gpu_out, &cfg, hw);
-                let t = cp2r.timing(hw).total + cp2s.timing(hw).total;
-                cp2r.merge(&cp2s);
-                part2_t += t;
-                a_time += t;
-                part2_all.merge(&cp2r);
-                (Some(pr2), Some(ps2_parts), true)
-            } else {
-                (None, None, !pair_spilled)
-            };
-
-            // Staging overflow: without heavy-hitter splitting, a pair
-            // bigger than the free GPU memory cannot be materialized at
-            // once — the executor evicts the overflow to CPU memory while
-            // the second pass is still scattering, then reloads it for
-            // the join. The two transfers sit in different pipeline steps
-            // and cannot overlap each other, so each is timed on its own.
-            let flat_excess = if lanes == 1 && staging_demand > staging_capacity {
-                staging_demand - staging_capacity
-            } else {
-                0
-            };
-            if flat_excess > 0 {
-                let excess = Bytes(flat_excess);
-                let mut evict = KernelCost::new("Spill");
-                evict.sms = half_sms;
-                evict.tuples_in = excess.0 / TUPLE_BYTES;
-                evict.gpu_mem.read += excess;
-                evict.link.seq_write += excess;
-                let mut reload = KernelCost::new("Spill");
-                reload.sms = half_sms;
-                reload.gpu_mem.write += excess;
-                reload.link.seq_read += excess;
-                let t = evict.timing(hw).total + reload.timing(hw).total;
-                spill_t += t;
-                a_time += t;
-                evict.merge(&reload);
-                spill_all.merge(&evict);
-            }
-
-            // Sched: the join task scheduler pairing sub-partitions.
-            let mut sched = KernelCost::new("Sched");
-            sched.sms = half_sms;
-            sched.instructions = 4096 + (1u64 << b2) * 512;
-            sched.gpu_mem.read += Bytes((1u64 << b2) * 16);
-            let t = sched.timing(hw).total;
-            sched_t += t;
-            a_time += t;
-            sched_all.merge(&sched);
-
-            // Join kernel over the pair.
-            let mut join = KernelCost::new("Join");
-            join.sms = half_sms;
-            join.tuples_in = (rk.len() + sk.len()) as u64;
-            let mut pair_result = JoinResult::empty();
-            let charge_join_reads = |join: &mut KernelCost| {
-                let bytes_r = rk.len() as u64 * TUPLE_BYTES;
-                let bytes_s = sk.len() as u64 * TUPLE_BYTES;
-                if joined_from_gpu {
-                    join.gpu_mem.read += Bytes(bytes_r + bytes_s);
-                } else {
-                    // No second pass and the pair is (partially) spilled:
-                    // stream it over the interconnect.
-                    let (g, c) = r_slice.split_range(0, bytes_r);
-                    join.gpu_mem.read += Bytes(g);
-                    join.link.seq_read += Bytes(c);
-                    let (g, c) = s_slice.split_range(0, bytes_s);
-                    join.gpu_mem.read += Bytes(g);
-                    join.link.seq_read += Bytes(c);
-                }
-            };
-            charge_join_reads(&mut join);
-
-            let (build_i, probe_i) = match self.scheme {
-                HashScheme::Perfect => (JOIN_BUILD_INSTR - 5, JOIN_PROBE_INSTR - 4),
-                _ => (JOIN_BUILD_INSTR, JOIN_PROBE_INSTR),
-            };
-            let mut chain_steps = 0u64;
-            match (&sub_r, &sub_s) {
-                (Some(pr2), Some(ps2p)) => {
-                    for p in 0..pr2.fanout() {
-                        let (srk, srr) = pr2.partition(p);
-                        let (ssk, ssr) = ps2p.partition(p);
-                        if srk.is_empty() || ssk.is_empty() {
-                            continue;
-                        }
-                        // Optional third pass (Section 5.1): if the capped
-                        // second pass left this sub-partition too large for
-                        // the scratchpad table, refine it once more within
-                        // GPU memory.
-                        let b3 = if self.third_pass {
-                            self.pass2_bits(srk.len())
-                        } else {
-                            0
-                        };
-                        if b3 > 0 {
-                            let mut cfg3 = pass2_cfg_proto;
-                            cfg3.radix_bits = b3;
-                            cfg3.skip_bits = b1 + b2;
-                            let gpu_in = Span::gpu(1 << 48);
-                            let gpu_out = Span::gpu(1 << 49);
-                            let h3r = triton_part::compute_histogram(srk, 1, b3, b1 + b2);
-                            let h3s = triton_part::compute_histogram(ssk, 1, b3, b1 + b2);
-                            let (pr3, mut c3) =
-                                p2.partition(srk, srr, &h3r, &gpu_in, &gpu_out, &cfg3, hw);
-                            let (ps3, c3s) =
-                                p2.partition(ssk, ssr, &h3s, &gpu_in, &gpu_out, &cfg3, hw);
-                            c3.merge(&c3s);
-                            c3.name = "Part 3".into();
-                            let t3 = c3.timing(hw).total;
-                            part3_t += t3;
-                            a_time += t3;
-                            part3_all.merge(&c3);
-                            for q in 0..pr3.fanout() {
-                                let (qrk, qrr) = pr3.partition(q);
-                                let (qsk, qsr) = ps3.partition(q);
-                                chain_steps += join_one(
-                                    qrk,
-                                    qrr,
-                                    qsk,
-                                    qsr,
-                                    b1 + b2 + b3,
-                                    &mut pair_result,
-                                    opts.sink.as_deref_mut(),
-                                );
-                            }
-                        } else {
-                            chain_steps += join_one(
-                                srk,
-                                srr,
-                                ssk,
-                                ssr,
-                                b1 + b2,
-                                &mut pair_result,
-                                opts.sink.as_deref_mut(),
-                            );
-                        }
-                    }
-                }
-                _ => {
-                    chain_steps += join_one(
-                        rk,
-                        rr,
-                        sk,
-                        sr,
-                        b1,
-                        &mut pair_result,
-                        opts.sink.as_deref_mut(),
-                    );
-                }
-            }
-            join.instructions = rk.len() as u64 * build_i
-                + sk.len() as u64 * probe_i
-                + chain_steps * JOIN_CHAIN_INSTR;
-            if self.materialize {
-                // Results stream to CPU memory via a linear allocator.
-                join.link.seq_write += Bytes(pair_result.matches * TUPLE_BYTES);
-                join.instructions += pair_result.matches * 2;
-            }
-            if opts.output_resident {
-                // Results land in GPU memory for a downstream plan node.
-                join.gpu_mem.write += Bytes(pair_result.matches * TUPLE_BYTES);
-                join.instructions += pair_result.matches * 2;
-            }
-            join.tuples_out = pair_result.matches;
-            result.merge(&pair_result);
-            let t = join.timing(hw).total;
-            join_t += t;
-            join_all.merge(&join);
-
-            // A chunked heavy pair occupies `lanes` pipeline slots, each
-            // carrying an equal share of its two stages.
-            let lane_a = a_time / lanes as f64;
-            let lane_b = t / lanes as f64;
-            for _ in 0..lanes {
-                stage_a.push(lane_a);
-                stage_b.push(lane_b);
-            }
+            None => pipeline.run(0..fanout1, &mut fold, opts.sink.as_deref_mut()),
         }
+        let PairFold {
+            result,
+            stage_a,
+            stage_b,
+            est_a,
+            est_b,
+            placements,
+            costs,
+            times,
+            ..
+        } = fold;
 
         // Assemble the merged per-kernel phases.
-        for (cost, t) in [
-            (ps2_all, ps2_t),
-            (part2_all, part2_t),
-            (spill_all, spill_t),
-            (part3_all, part3_t),
-            (sched_all, sched_t),
-            (join_all, join_t),
-        ] {
+        for (cost, t) in costs.into_iter().zip(times) {
             if cost.tuples_in > 0 || cost.instructions > 0 {
                 phases.push(PhaseReport {
                     time: t,
@@ -808,6 +601,418 @@ impl TritonJoin {
             },
             placement: Some(placement),
         })
+    }
+}
+
+/// How one join spreads its host work over threads ([`crate::par`]).
+/// Every choice yields the same report and sink.
+#[derive(Debug, Clone, Copy)]
+// Only the fork-invariance tests force a split.
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) enum Fork {
+    /// Fork when the inputs clear the host-parallelism floor, splitting
+    /// the pair pipeline where it halves the partitioned tuples.
+    Auto,
+    /// Run everything on the calling thread.
+    Never,
+    /// Fork every independent step and split the pair pipeline before
+    /// this pair index.
+    At(usize),
+}
+
+/// The pair index that splits the pipeline into two contiguous ranges of
+/// about equal partitioned tuples (R plus S).
+fn balanced_split(hist_r: &HistogramResult, hist_s: &HistogramResult) -> usize {
+    let before = |i: usize| (hist_r.offsets[i] + hist_s.offsets[i]) as u64;
+    let total = before(hist_r.fanout());
+    (0..=hist_r.fanout())
+        .min_by_key(|&i| (2 * before(i)).abs_diff(total))
+        .unwrap_or(0)
+}
+
+/// The second-pass kernels of the pair pipeline, in phase-report order.
+const PAIR_KERNELS: [&str; 6] = ["PS 2", "Part 2", "Spill", "Part 3", "Sched", "Join"];
+const PS2: usize = 0;
+const PART2: usize = 1;
+const SPILL: usize = 2;
+const PART3: usize = 3;
+const SCHED: usize = 4;
+const JOIN: usize = 5;
+
+/// What the pair pipeline accumulates, in pair order.
+struct PairFold {
+    result: JoinResult,
+    stage_a: Vec<Ns>,
+    stage_b: Vec<Ns>,
+    est_a: Vec<Ns>,
+    est_b: Vec<Ns>,
+    placements: Vec<PairPlacement>,
+    /// Merged cost and summed time per [`PAIR_KERNELS`] entry.
+    costs: [KernelCost; 6],
+    times: [Ns; 6],
+    /// A forked tail range logs its time terms instead of summing them:
+    /// `f64` sums depend on their order, so [`PairFold::absorb`] replays
+    /// the log after the head's terms, as the serial loop adds them.
+    deferred: Option<Vec<(usize, Ns)>>,
+}
+
+impl PairFold {
+    fn new(pairs: usize, deferred: bool) -> Self {
+        PairFold {
+            result: JoinResult::empty(),
+            stage_a: Vec::with_capacity(pairs),
+            stage_b: Vec::with_capacity(pairs),
+            est_a: Vec::new(),
+            est_b: Vec::new(),
+            placements: Vec::new(),
+            costs: PAIR_KERNELS.map(KernelCost::new),
+            times: [Ns::ZERO; 6],
+            deferred: deferred.then(Vec::new),
+        }
+    }
+
+    /// Charge `cost`, priced at `t`, to kernel `k`.
+    fn charge(&mut self, k: usize, cost: &KernelCost, t: Ns) {
+        self.costs[k].merge(cost);
+        self.add_time(k, t);
+    }
+
+    fn add_time(&mut self, k: usize, t: Ns) {
+        match &mut self.deferred {
+            Some(log) => log.push((k, t)),
+            None => self.times[k] += t,
+        }
+    }
+
+    /// Append a later range's outcome.
+    fn absorb(&mut self, tail: PairFold) {
+        self.result.merge(&tail.result);
+        self.stage_a.extend(tail.stage_a);
+        self.stage_b.extend(tail.stage_b);
+        self.est_a.extend(tail.est_a);
+        self.est_b.extend(tail.est_b);
+        self.placements.extend(tail.placements);
+        for (cost, more) in self.costs.iter_mut().zip(&tail.costs) {
+            cost.merge(more);
+        }
+        for (k, t) in tail.deferred.into_iter().flatten() {
+            self.add_time(k, t);
+        }
+    }
+}
+
+/// What every partition pair's second pass and join read, shared by the
+/// ranges of a forked pipeline.
+struct PairPipeline<'a> {
+    join: &'a TritonJoin,
+    hw: &'a HwConfig,
+    parts_r: &'a Partitioned,
+    parts_s: &'a Partitioned,
+    hist_r: &'a HistogramResult,
+    hist_s: &'a HistogramResult,
+    r_span: &'a Span,
+    s_span: &'a Span,
+    r_layout: &'a HybridLayout,
+    s_layout: &'a HybridLayout,
+    /// Per-pair estimates of the skew-aware planner.
+    estimates: Option<&'a [PairEstimate]>,
+    /// A placement plan pins whole pairs (else every pair shares the
+    /// interleave).
+    planned: bool,
+    /// Some of the working set lives in CPU memory.
+    spilled: bool,
+    mean_build: u64,
+    /// Free GPU memory beside the cached working set.
+    staging_capacity: u64,
+    half_sms: u32,
+    b1: u32,
+    output_resident: bool,
+}
+
+impl PairPipeline<'_> {
+    /// Run the pairs of `pairs` in order, folding each into `fold`.
+    fn run(
+        &self,
+        pairs: Range<usize>,
+        fold: &mut PairFold,
+        mut sink: Option<&mut Vec<(u64, u64, u64)>>,
+    ) {
+        let p2 = make_partitioner(self.join.pass2);
+        for i in pairs {
+            self.pair(i, p2.as_ref(), fold, sink.as_deref_mut());
+        }
+    }
+
+    /// Second pass, staging, and join of partition pair `i`.
+    fn pair(
+        &self,
+        i: usize,
+        p2: &dyn GpuPartitioner,
+        fold: &mut PairFold,
+        mut sink: Option<&mut Vec<(u64, u64, u64)>>,
+    ) {
+        let (j, hw, half_sms, b1) = (self.join, self.hw, self.half_sms, self.b1);
+        let (r_layout, s_layout) = (self.r_layout, self.s_layout);
+        let (rk, rr) = self.parts_r.partition(i);
+        let (sk, sr) = self.parts_s.partition(i);
+        if rk.is_empty() && sk.is_empty() {
+            return;
+        }
+        // Heavy-hitter splitting: build partitions far above the mean
+        // get extra second-pass bits, still under the scratchpad cap.
+        let b2 = (j.pass2_bits(rk.len())
+            + j.skew.heavy_extra_bits(rk.len() as u64, self.mean_build))
+        .min(j.max_pass2_bits);
+        let mut a_time = Ns::ZERO;
+        let mut pass2_cfg_proto = PassConfig::new(0, b1);
+        pass2_cfg_proto.sms = half_sms;
+
+        let r_off = self.hist_r.offsets[i] as u64 * TUPLE_BYTES;
+        let s_off = self.hist_s.offsets[i] as u64 * TUPLE_BYTES;
+        let r_slice = self.r_span.slice(r_off);
+        let s_slice = self.s_span.slice(s_off);
+        let pair_r_bytes = rk.len() as u64 * TUPLE_BYTES;
+        let pair_s_bytes = sk.len() as u64 * TUPLE_BYTES;
+        // Under a placement plan, spill is a per-pair fact: pinned
+        // pairs skip the copy-in entirely. The uniform policies keep
+        // the global flag (every pair shares the interleave).
+        let pair_spilled = if self.planned {
+            r_layout.split_range(r_off, pair_r_bytes).1
+                + s_layout.split_range(s_off, pair_s_bytes).1
+                > 0
+        } else {
+            self.spilled
+        };
+        let pair_gpu = r_layout.split_range(r_off, pair_r_bytes).0
+            + s_layout.split_range(s_off, pair_s_bytes).0;
+        let pair_bytes_total = pair_r_bytes + pair_s_bytes;
+        // Staging demand of this pair: the second pass materializes
+        // its output in GPU memory, and a spilled pair is first
+        // copied into gpu_in by the PS 2 kernels.
+        let staging_demand = if b2 > 0 {
+            pair_bytes_total * (1 + u64::from(pair_spilled))
+        } else {
+            0
+        };
+        let staging_capacity = self.staging_capacity;
+        // Heavy-hitter splitting: the skew-aware executor knows pair
+        // sizes from the histograms, so a pair that outgrows the
+        // staging area is streamed through it in probe-side chunks —
+        // each chunk is its own pipeline lane, so no single stage-B
+        // straggler dominates the schedule. The blind executor
+        // instead overflows (charged below).
+        let lanes = if j.skew.mechanisms().is_some_and(|m| m.split_heavy)
+            && staging_demand > staging_capacity
+        {
+            staging_demand.div_ceil(staging_capacity.max(1)).min(64)
+        } else {
+            1
+        };
+        for lane in 0..lanes {
+            let share = |v: u64| {
+                let per = v / lanes;
+                if lane == 0 {
+                    v - per * (lanes - 1)
+                } else {
+                    per
+                }
+            };
+            fold.placements.push(PairPlacement {
+                part: i as u64,
+                bytes: share(pair_bytes_total),
+                gpu_bytes: share(pair_gpu),
+                cached: pair_gpu == pair_bytes_total,
+            });
+            if let Some(est) = self.estimates {
+                fold.est_a
+                    .push(est[i].stage_a(!pair_spilled) / lanes as f64);
+                fold.est_b.push(est[i].b / lanes as f64);
+            }
+        }
+
+        // Sub-histograms / sub-partitions of this pair.
+        let (sub_r, sub_s, joined_from_gpu) = if b2 > 0 {
+            let mut cfg = pass2_cfg_proto;
+            cfg.radix_bits = b2;
+            // PS 2: histogram over the pair, copying it into GPU
+            // memory when the array is (partially) spilled so the
+            // later kernels avoid a second interconnect pass.
+            let (h2r, mut cps_r) = gpu_prefix_sum(rk, &r_slice, &cfg, hw, pair_spilled);
+            let (h2s, cps_s) = gpu_prefix_sum(sk, &s_slice, &cfg, hw, pair_spilled);
+            let t = cps_r.timing(hw).total + cps_s.timing(hw).total;
+            cps_r.merge(&cps_s);
+            a_time += t;
+            fold.charge(PS2, &cps_r, t);
+
+            // Part 2: read the (now GPU-resident) pair, scatter into
+            // GPU memory.
+            let gpu_in = Span::gpu(1 << 46);
+            let gpu_out = Span::gpu(1 << 47);
+            let part2_in = if pair_spilled { &gpu_in } else { &r_slice };
+            let (pr2, mut cp2r) = p2.partition(rk, rr, &h2r, part2_in, &gpu_out, &cfg, hw);
+            let part2_in_s = if pair_spilled { &gpu_in } else { &s_slice };
+            let (ps2_parts, cp2s) = p2.partition(sk, sr, &h2s, part2_in_s, &gpu_out, &cfg, hw);
+            let t = cp2r.timing(hw).total + cp2s.timing(hw).total;
+            cp2r.merge(&cp2s);
+            a_time += t;
+            fold.charge(PART2, &cp2r, t);
+            (Some(pr2), Some(ps2_parts), true)
+        } else {
+            (None, None, !pair_spilled)
+        };
+
+        // Staging overflow: without heavy-hitter splitting, a pair
+        // bigger than the free GPU memory cannot be materialized at
+        // once — the executor evicts the overflow to CPU memory while
+        // the second pass is still scattering, then reloads it for
+        // the join. The two transfers sit in different pipeline steps
+        // and cannot overlap each other, so each is timed on its own.
+        let flat_excess = if lanes == 1 && staging_demand > staging_capacity {
+            staging_demand - staging_capacity
+        } else {
+            0
+        };
+        if flat_excess > 0 {
+            let excess = Bytes(flat_excess);
+            let mut evict = KernelCost::new("Spill");
+            evict.sms = half_sms;
+            evict.tuples_in = excess.0 / TUPLE_BYTES;
+            evict.gpu_mem.read += excess;
+            evict.link.seq_write += excess;
+            let mut reload = KernelCost::new("Spill");
+            reload.sms = half_sms;
+            reload.gpu_mem.write += excess;
+            reload.link.seq_read += excess;
+            let t = evict.timing(hw).total + reload.timing(hw).total;
+            a_time += t;
+            evict.merge(&reload);
+            fold.charge(SPILL, &evict, t);
+        }
+
+        // Sched: the join task scheduler pairing sub-partitions.
+        let mut sched = KernelCost::new("Sched");
+        sched.sms = half_sms;
+        sched.instructions = 4096 + (1u64 << b2) * 512;
+        sched.gpu_mem.read += Bytes((1u64 << b2) * 16);
+        let t = sched.timing(hw).total;
+        a_time += t;
+        fold.charge(SCHED, &sched, t);
+
+        // Join kernel over the pair.
+        let mut join = KernelCost::new("Join");
+        join.sms = half_sms;
+        join.tuples_in = (rk.len() + sk.len()) as u64;
+        let mut pair_result = JoinResult::empty();
+        let charge_join_reads = |join: &mut KernelCost| {
+            let bytes_r = rk.len() as u64 * TUPLE_BYTES;
+            let bytes_s = sk.len() as u64 * TUPLE_BYTES;
+            if joined_from_gpu {
+                join.gpu_mem.read += Bytes(bytes_r + bytes_s);
+            } else {
+                // No second pass and the pair is (partially) spilled:
+                // stream it over the interconnect.
+                let (g, c) = r_slice.split_range(0, bytes_r);
+                join.gpu_mem.read += Bytes(g);
+                join.link.seq_read += Bytes(c);
+                let (g, c) = s_slice.split_range(0, bytes_s);
+                join.gpu_mem.read += Bytes(g);
+                join.link.seq_read += Bytes(c);
+            }
+        };
+        charge_join_reads(&mut join);
+
+        let (build_i, probe_i) = match j.scheme {
+            HashScheme::Perfect => (JOIN_BUILD_INSTR - 5, JOIN_PROBE_INSTR - 4),
+            _ => (JOIN_BUILD_INSTR, JOIN_PROBE_INSTR),
+        };
+        let mut chain_steps = 0u64;
+        match (&sub_r, &sub_s) {
+            (Some(pr2), Some(ps2p)) => {
+                for p in 0..pr2.fanout() {
+                    let (srk, srr) = pr2.partition(p);
+                    let (ssk, ssr) = ps2p.partition(p);
+                    if srk.is_empty() || ssk.is_empty() {
+                        continue;
+                    }
+                    // Optional third pass (Section 5.1): if the capped
+                    // second pass left this sub-partition too large for
+                    // the scratchpad table, refine it once more within
+                    // GPU memory.
+                    let b3 = if j.third_pass {
+                        j.pass2_bits(srk.len())
+                    } else {
+                        0
+                    };
+                    if b3 > 0 {
+                        let mut cfg3 = pass2_cfg_proto;
+                        cfg3.radix_bits = b3;
+                        cfg3.skip_bits = b1 + b2;
+                        let gpu_in = Span::gpu(1 << 48);
+                        let gpu_out = Span::gpu(1 << 49);
+                        let h3r = compute_histogram(srk, 1, b3, b1 + b2);
+                        let h3s = compute_histogram(ssk, 1, b3, b1 + b2);
+                        let (pr3, mut c3) =
+                            p2.partition(srk, srr, &h3r, &gpu_in, &gpu_out, &cfg3, hw);
+                        let (ps3, c3s) = p2.partition(ssk, ssr, &h3s, &gpu_in, &gpu_out, &cfg3, hw);
+                        c3.merge(&c3s);
+                        let t3 = c3.timing(hw).total;
+                        a_time += t3;
+                        fold.charge(PART3, &c3, t3);
+                        for q in 0..pr3.fanout() {
+                            let (qrk, qrr) = pr3.partition(q);
+                            let (qsk, qsr) = ps3.partition(q);
+                            chain_steps += join_one(
+                                qrk,
+                                qrr,
+                                qsk,
+                                qsr,
+                                b1 + b2 + b3,
+                                &mut pair_result,
+                                sink.as_deref_mut(),
+                            );
+                        }
+                    } else {
+                        chain_steps += join_one(
+                            srk,
+                            srr,
+                            ssk,
+                            ssr,
+                            b1 + b2,
+                            &mut pair_result,
+                            sink.as_deref_mut(),
+                        );
+                    }
+                }
+            }
+            _ => {
+                chain_steps += join_one(rk, rr, sk, sr, b1, &mut pair_result, sink);
+            }
+        }
+        join.instructions =
+            rk.len() as u64 * build_i + sk.len() as u64 * probe_i + chain_steps * JOIN_CHAIN_INSTR;
+        if j.materialize {
+            // Results stream to CPU memory via a linear allocator.
+            join.link.seq_write += Bytes(pair_result.matches * TUPLE_BYTES);
+            join.instructions += pair_result.matches * 2;
+        }
+        if self.output_resident {
+            // Results land in GPU memory for a downstream plan node.
+            join.gpu_mem.write += Bytes(pair_result.matches * TUPLE_BYTES);
+            join.instructions += pair_result.matches * 2;
+        }
+        join.tuples_out = pair_result.matches;
+        fold.result.merge(&pair_result);
+        let t = join.timing(hw).total;
+        fold.charge(JOIN, &join, t);
+
+        // A chunked heavy pair occupies `lanes` pipeline slots, each
+        // carrying an equal share of its two stages.
+        let lane_a = a_time / lanes as f64;
+        let lane_b = t / lanes as f64;
+        for _ in 0..lanes {
+            fold.stage_a.push(lane_a);
+            fold.stage_b.push(lane_b);
+        }
     }
 }
 
@@ -994,5 +1199,100 @@ mod tests {
         let join_phase = rep.phases.iter().find(|p| p.name == "Join").unwrap();
         let written = join_phase.cost.as_ref().unwrap().link.seq_write.0;
         assert_eq!(written, rep.result.matches * TUPLE_BYTES);
+    }
+
+    /// One run under a forced thread split; `plan` attaches a sink and
+    /// keeps the output GPU-resident, as a plan node does.
+    fn forked(
+        j: &TritonJoin,
+        w: &Workload,
+        hw: &HwConfig,
+        plan: bool,
+        fork: Fork,
+    ) -> (JoinReport, Vec<(u64, u64, u64)>) {
+        let mut sink = Vec::new();
+        let opts = JoinRunOptions {
+            output_resident: plan,
+            sink: plan.then_some(&mut sink),
+            ..JoinRunOptions::default()
+        };
+        let rep = j.run_forked(w, hw, opts, fork).unwrap();
+        (rep, sink)
+    }
+
+    /// Forking the host work never changes a report or a sink: R ∥ S in
+    /// PS 1 and Part 1, and the pair pipeline split before its first,
+    /// middle and last non-empty pair, all reproduce the serial run bit
+    /// for bit, on a uniform spilling join, on Zipf 1.5 through the blind
+    /// `Spill` path and through skew-aware chunking and LPT. Plan-style
+    /// runs (a sink and a GPU-resident output), which fork only R ∥ S,
+    /// keep their sink's contents and order, on a full and on an empty
+    /// build side.
+    #[test]
+    fn forking_never_changes_a_report() {
+        // A GPU an eighth the scaled size: 120 M modeled tuples a side
+        // spill, need a second pass, and overflow staging under Zipf 1.5.
+        let mut hw = HwConfig::ac922().scaled(1024);
+        hw.gpu.mem_capacity = hw.gpu.mem_capacity / 8;
+        let uniform = WorkloadSpec::paper_default(120, 1024).generate();
+        let zipf = WorkloadSpec::skewed(120, 1.5, 1024).generate();
+        let no_build = Workload {
+            r: triton_datagen::Relation::from_columns(Vec::new(), Vec::new()),
+            ..uniform.clone()
+        };
+        let aware = TritonJoin {
+            skew: SkewPolicy::aware(),
+            ..TritonJoin::default()
+        };
+        let blind = TritonJoin::default();
+        let cases = [
+            ("uniform", &blind, &uniform, false),
+            ("zipf off", &blind, &zipf, false),
+            ("zipf aware", &aware, &zipf, false),
+            ("uniform plan", &blind, &uniform, true),
+            ("empty R plan", &blind, &no_build, true),
+        ];
+        for (name, j, w, plan) in cases {
+            let (serial, serial_sink) = forked(j, w, &hw, plan, Fork::Never);
+            assert_eq!(serial.result, reference_join(w), "{name}");
+            let placement = serial.placement.as_ref().unwrap();
+            let lanes = serial.overlap.as_ref().unwrap();
+            let mut pairs: Vec<usize> = placement.pairs.iter().map(|p| p.part as usize).collect();
+            pairs.dedup();
+            match name {
+                "uniform" => assert!(
+                    placement.spilled_bytes > 0 && serial.phases.iter().any(|p| p.name == "Part 2")
+                ),
+                "zipf off" => assert!(serial.phases.iter().any(|p| p.name == "Spill")),
+                "zipf aware" => {
+                    assert!(lanes.stage_a.len() > pairs.len() && !lanes.order.is_empty())
+                }
+                _ => assert_eq!(serial_sink.len() as u64, serial.result.matches),
+            }
+            let splits = [pairs[0], pairs[pairs.len() / 2], pairs[pairs.len() - 1]];
+            for fork in splits.map(Fork::At).into_iter().chain([Fork::Auto]) {
+                let (rep, sink) = forked(j, w, &hw, plan, fork);
+                let at = format!("{name}, {fork:?}");
+                assert_eq!(rep.total.0.to_bits(), serial.total.0.to_bits(), "{at}");
+                let bits = |r: &JoinReport| -> Vec<(String, u64)> {
+                    let phases = r.phases.iter();
+                    phases
+                        .map(|p| (p.name.clone(), p.time.0.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&rep), bits(&serial), "{at}");
+                assert_eq!(rep.placement, serial.placement, "{at}");
+                let (a, b) = (rep.overlap.as_ref().unwrap(), lanes);
+                let lane_bits = |v: &[Ns]| v.iter().map(|t| t.0.to_bits()).collect::<Vec<_>>();
+                assert_eq!(lane_bits(&a.stage_a), lane_bits(&b.stage_a), "{at}");
+                assert_eq!(lane_bits(&a.stage_b), lane_bits(&b.stage_b), "{at}");
+                assert_eq!(a.order, b.order, "{at}");
+                assert_eq!(rep.result, serial.result, "{at}");
+                assert!(sink == serial_sink, "{at}: sink contents or order differ");
+                // Everything else, kernel costs included: `{:?}` prints
+                // every f64 so that it parses back to the same bits.
+                assert_eq!(format!("{rep:?}"), format!("{serial:?}"), "{at}");
+            }
+        }
     }
 }

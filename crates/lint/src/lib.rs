@@ -9,7 +9,8 @@
 //!   is per-process random and silently breaks replay).
 //! * **D2** — no `Instant`/`SystemTime`/`RandomState` outside
 //!   `crates/bench` (the simulator has its own clock and seeded RNG).
-//! * **D3** — no `thread::spawn`/`rayon` outside approved modules.
+//! * **D3** — no `thread::spawn`/`thread::scope`/`rayon` outside approved
+//!   modules.
 //! * **U1** — no re-wrapping raw `.0` arithmetic in the unit newtypes
 //!   (`Bytes(a.0 + b.0)`) and no `.0 as` casts outside
 //!   `crates/hw/src/units.rs`.

@@ -380,7 +380,8 @@ fn scan_idents(
     }
 }
 
-/// D3: `thread::spawn`, and any `rayon` path.
+/// D3: `thread::spawn`, `thread::scope` (whose `s.spawn` is a thread
+/// too), and any `rayon` path.
 fn rule_d3(tokens: &[Token], in_test: &[bool], findings: &mut Vec<Finding>) {
     for (i, t) in tokens.iter().enumerate() {
         if t.kind != TokKind::Ident || in_test[i] {
@@ -396,20 +397,21 @@ fn rule_d3(tokens: &[Token], in_test: &[bool], findings: &mut Vec<Finding>) {
                     .to_string(),
             );
         }
-        if t.text == "thread"
-            && matches(tokens, i + 1, ":")
-            && matches(tokens, i + 2, ":")
-            && tokens
-                .get(i + 3)
-                .is_some_and(|t| t.kind == TokKind::Ident && t.text == "spawn")
-        {
+        let thread_path =
+            t.text == "thread" && matches(tokens, i + 1, ":") && matches(tokens, i + 2, ":");
+        let entry = tokens.get(i + 3).filter(|e| {
+            thread_path && e.kind == TokKind::Ident && (e.text == "spawn" || e.text == "scope")
+        });
+        if let Some(entry) = entry {
             push(
                 findings,
                 Rule::D3,
                 t.line,
-                "thread::spawn introduces scheduling nondeterminism; \
-                 model concurrency through the scheduler instead"
-                    .to_string(),
+                format!(
+                    "thread::{} introduces scheduling nondeterminism; \
+                     model concurrency through the scheduler instead",
+                    entry.text
+                ),
             );
         }
     }

@@ -75,6 +75,15 @@ const CASES: &[Case] = &[
         malformed: 0,
         unused: 0,
     },
+    // Scoped threads are threads too; a waived scope counts as waived.
+    Case {
+        fixture: "d3_scoped.rs",
+        classify_as: "crates/core/src/fixture.rs",
+        unwaived: [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+        waived: 1,
+        malformed: 0,
+        unused: 0,
+    },
     Case {
         fixture: "d3_clean.rs",
         classify_as: "crates/core/src/fixture.rs",

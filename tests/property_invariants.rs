@@ -217,9 +217,13 @@ fn triton_matches_reference() {
 /// keys. A mid-query grant shrink re-runs the join at a smaller
 /// `cache_bytes`, so this is the budget space the serving scheduler's
 /// revisions move through: budgets move placement and time, never
-/// answers. The fuzz stream can be re-seeded from the environment
-/// (`TRITON_GRANT_FUZZ_SEED`) so CI can sweep several deterministic
-/// streams.
+/// answers. Every eighth case is a larger Zipf 1.5 join on a GPU an
+/// eighth the scaled size, where the hot pair outgrows staging: the
+/// blind executor must take the `Spill` path and the skew-aware one must
+/// chunk lanes somewhere in the run, so neither overflow answer is
+/// checked vacuously. The fuzz stream can be re-seeded from the
+/// environment (`TRITON_GRANT_FUZZ_SEED`) so CI can sweep several
+/// deterministic streams.
 #[test]
 fn join_results_identical_across_cache_budgets() {
     use triton_core::SkewPolicy;
@@ -227,18 +231,34 @@ fn join_results_identical_across_cache_budgets() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    let mut cached = 0u32;
+    let (mut case, mut cached, mut spilled, mut chunked) = (0u32, 0u32, 0u32, 0u32);
     for_cases("join_results_identical_across_cache_budgets", |rng| {
         if env_seed != 0 {
             // Re-seed the case stream so each CI seed draws different
             // workloads and budgets, all still deterministic.
             *rng = Rng::seed_from_u64(rng.next_u64() ^ env_seed.wrapping_mul(0x9E37_79B9));
         }
-        let m = rng.gen_range_u64(1, 12);
-        let theta = [0.0, 1.5][rng.gen_index(2)];
-        let hw = HwConfig::ac922().scaled(4096);
-        let mut spec = WorkloadSpec::skewed(m, theta, 2048);
+        case += 1;
+        let (hw, mut spec) = if case % 8 == 1 {
+            // 100-130 K tuples a side: build partitions need a second
+            // pass (over 1536 tuples each at fanout 64), and the Zipf
+            // hot pair overflows a 2 MiB GPU's staging area.
+            let mut hw = HwConfig::ac922().scaled(1024);
+            hw.gpu.mem_capacity = hw.gpu.mem_capacity / 8;
+            (
+                hw,
+                WorkloadSpec::skewed(rng.gen_range_u64(104, 134), 1.5, 1024),
+            )
+        } else {
+            let m = rng.gen_range_u64(1, 12);
+            let theta = [0.0, 1.5][rng.gen_index(2)];
+            (
+                HwConfig::ac922().scaled(4096),
+                WorkloadSpec::skewed(m, theta, 2048),
+            )
+        };
         spec.seed = rng.gen_range_u64(0, 99);
+        let theta = spec.zipf_theta;
         let w = spec.generate();
         let expect = reference_join(&w);
         let budgets = [0, rng.gen_range_u64(0, hw.gpu.mem_capacity.0), u64::MAX];
@@ -254,6 +274,7 @@ fn join_results_identical_across_cache_budgets() {
                     rep.result, expect,
                     "theta {theta}, {skew:?}, cache_bytes {cache}"
                 );
+                let lanes = rep.overlap.as_ref().map_or(0, |o| o.stage_a.len());
                 let placement = rep.placement.expect("the Triton join reports placement");
                 if cache == 0 {
                     assert_eq!(
@@ -263,10 +284,30 @@ fn join_results_identical_across_cache_budgets() {
                 } else if cache == u64::MAX && placement.cache_hit_bytes > 0 {
                     cached += 1;
                 }
+                let pairs = placement
+                    .pairs
+                    .iter()
+                    .map(|p| p.part)
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len();
+                match skew {
+                    SkewPolicy::Off => {
+                        spilled += u32::from(rep.phases.iter().any(|p| p.name == "Spill"));
+                    }
+                    SkewPolicy::Aware(_) => chunked += u32::from(lanes > pairs),
+                }
             }
         }
     });
     assert!(cached > 0, "no budget ever cached a byte: vacuous property");
+    assert!(
+        spilled > 0,
+        "the blind executor never spilled: vacuous property"
+    );
+    assert!(
+        chunked > 0,
+        "no skew-aware lane was chunked: vacuous property"
+    );
 }
 
 /// The skew-aware LPT schedule is gated: the executor adopts the
