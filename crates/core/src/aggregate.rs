@@ -21,8 +21,8 @@ use triton_part::{
     compute_histogram, cpu_prefix_sum_cost, make_partitioner, Algorithm, PassConfig, Span,
 };
 
+use crate::budget::GpuBudget;
 use crate::report::{JoinReport, JoinResult, PhaseReport};
-use crate::triton::TritonJoin;
 
 /// The aggregate computed per group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,15 +94,12 @@ pub fn reference_aggregate(rel: &Relation) -> AggregateResult {
 pub struct GpuAggregation {
     /// First-pass partitioning algorithm.
     pub pass1: Algorithm,
-    /// Disable the hybrid cache (spill everything).
-    pub caching_enabled: bool,
 }
 
 impl Default for GpuAggregation {
     fn default() -> Self {
         GpuAggregation {
             pass1: Algorithm::Hierarchical,
-            caching_enabled: true,
         }
     }
 }
@@ -125,20 +122,15 @@ impl GpuAggregation {
     ) -> (AggregateResult, JoinReport) {
         let n = rel.len();
         let bytes = n as u64 * TUPLE_BYTES;
-        // Group state is bounded by the input: size the fanout like the
-        // join's first pass sizes R.
-        let b1 = TritonJoin::pass1_bits(bytes, bytes, hw);
+        // Group state is bounded by the input: budget it like a join
+        // whose build side is the whole input.
+        let budget = GpuBudget::new(bytes, bytes, hw);
+        let b1 = budget.pass1_bits;
         let half_sms = (hw.gpu.num_sms / 2).max(1);
 
         let mut alloc = SimAllocator::new(hw);
-        let reserve = 2 * (bytes >> b1).max(1) + hw.gpu.mem_capacity.0 / 8;
-        let cache = if self.caching_enabled {
-            hw.gpu.mem_capacity.0.saturating_sub(reserve)
-        } else {
-            0
-        };
         let layout = alloc
-            .alloc_hybrid(Bytes(bytes), Bytes(cache))
+            .alloc_hybrid(Bytes(bytes), Bytes(budget.max_cache))
             // triton-lint: allow(p1) -- sim-allocator exhaustion means a misconfigured scale, not a runtime condition; mirrors TritonJoin::run
             .expect("CPU memory exhausted");
         let span = Span::hybrid(layout);
@@ -248,9 +240,8 @@ pub fn npj_style_aggregate(rel: &Relation, hw: &HwConfig) -> (AggregateResult, J
     // load factor.
     let table_bytes = (n as u64 * TUPLE_BYTES * 2).next_power_of_two();
     let mut alloc = SimAllocator::new(hw);
-    let budget = hw.gpu.mem_capacity.0 - hw.gpu.mem_capacity.0 / 8;
     let layout = alloc
-        .alloc_hybrid(Bytes(table_bytes), Bytes(budget))
+        .alloc_hybrid(Bytes(table_bytes), Bytes(GpuBudget::cacheable(hw)))
         // triton-lint: allow(p1) -- sim-allocator exhaustion means a misconfigured scale, not a runtime condition
         .expect("CPU memory exhausted");
     let span = Span::hybrid(layout);
@@ -387,11 +378,7 @@ mod tests {
         let rel = skewed_input();
         let expect = reference_aggregate(&rel);
         for alg in Algorithm::all() {
-            let (got, _) = GpuAggregation {
-                pass1: alg,
-                ..Default::default()
-            }
-            .run(&rel, &hw);
+            let (got, _) = GpuAggregation { pass1: alg }.run(&rel, &hw);
             assert_eq!(got, expect, "{alg:?}");
         }
     }

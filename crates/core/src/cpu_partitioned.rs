@@ -23,6 +23,7 @@ use triton_part::{
     cpu_swwc_partition, gpu_prefix_sum, make_partitioner, Algorithm, PassConfig, Span,
 };
 
+use crate::budget::GpuBudget;
 use crate::hash_table::{BucketChainTable, HashScheme, BUCKET_CHAIN_ENTRIES};
 use crate::report::{JoinReport, JoinResult, PhaseReport};
 use crate::triton::TritonJoin;
@@ -178,8 +179,7 @@ impl CpuPartitionedJoin {
         // partitioned working set fits GPU memory, the trailing join
         // overlaps entirely with the transfers (the 38% caching gain at
         // 128 M tuples).
-        let fits =
-            (hw.gpu.mem_capacity.0 - hw.gpu.mem_capacity.0 / 8) as f64 / total_bytes.max(1) as f64;
+        let fits = GpuBudget::cacheable(hw) as f64 / total_bytes.max(1) as f64;
         let f = fits.min(1.0);
         let contention = 1.0 + 0.5 * (1.0 - f);
         let overlap_stage = gpu_pipeline * (0.5 + 0.5 * (1.0 - f));

@@ -37,6 +37,7 @@
 
 pub mod aggregate;
 pub mod bloom;
+pub mod budget;
 pub mod cpu_partitioned;
 pub mod cpu_radix;
 pub mod hash_table;
@@ -54,6 +55,7 @@ pub use aggregate::{
     GroupAggregate,
 };
 pub use bloom::BloomFilter;
+pub use budget::GpuBudget;
 pub use cpu_partitioned::CpuPartitionedJoin;
 pub use cpu_radix::CpuRadixJoin;
 pub use hash_table::{

@@ -23,6 +23,7 @@ use triton_hw::HwConfig;
 use triton_mem::SimAllocator;
 use triton_part::{ChargeCtx, Span};
 
+use crate::budget::GpuBudget;
 use crate::hash_table::{HashScheme, LinearProbeTable, PerfectArrayTable};
 use crate::report::{JoinReport, JoinResult, PhaseReport};
 
@@ -94,13 +95,10 @@ impl NoPartitioningJoin {
         let n_r = w.r.len();
         let table_bytes = self.table_bytes(n_r);
         let mut alloc = SimAllocator::new(hw);
-        // An eighth of GPU memory stays reserved for the runtime and
-        // staging buffers; the rest can cache the hash table.
-        let auto = hw.gpu.mem_capacity.0 - hw.gpu.mem_capacity.0 / 8;
+        // All but the runtime slice can cache the hash table.
         let budget = self
             .cache_bytes
-            .map(|b| b.0)
-            .unwrap_or(auto)
+            .map_or(GpuBudget::cacheable(hw), |b| b.0)
             .min(alloc.available(triton_hw::MemSide::Gpu).0);
         let layout = alloc
             .alloc_hybrid(Bytes(table_bytes), Bytes(budget))

@@ -181,6 +181,21 @@ pub struct PlacementReport {
     pub spilled_bytes: u64,
     /// Per-pair decisions, in pass-1 partition order (non-empty pairs).
     pub pairs: Vec<PairPlacement>,
+    /// GPU bytes the join held back from the cache for its pair pipeline
+    /// and the runtime ([`crate::GpuBudget::reserve`]).
+    pub reserve: u64,
+    /// GPU bytes left free beside the cached working set: the staging
+    /// area each spilled pair is reloaded and second-pass partitioned in.
+    pub staging_capacity: u64,
+    /// Largest partition pair whose build side needs a second pass.
+    pub max_pair_bytes: u64,
+    /// Staging that pair needs: twice its bytes when part of the
+    /// working set spills (the reloaded copy and the second-pass output).
+    pub worst_demand: u64,
+    /// `worst_demand` exceeds the memory the cache leaves free, so a
+    /// skew-aware join plans its placement instead of splitting the
+    /// cache evenly.
+    pub planning_pays: bool,
 }
 
 impl PlacementReport {
@@ -356,6 +371,7 @@ mod tests {
                     cached: false,
                 },
             ],
+            ..PlacementReport::default()
         };
         assert_eq!(p.pairs_cached(), 1);
     }

@@ -283,6 +283,7 @@ mod tests {
                     cached: false,
                 },
             ],
+            ..PlacementReport::default()
         };
         let mut trace = Trace::new();
         record_overlap(&mut trace, 1, 1, 2, 0.0, 1.0, &lanes, Some(&placement));

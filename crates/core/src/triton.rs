@@ -32,6 +32,7 @@ use triton_part::{
 };
 
 use crate::bloom::BloomFilter;
+use crate::budget::GpuBudget;
 use crate::hash_table::{BucketChainTable, HashScheme, BUCKET_CHAIN_ENTRIES};
 use crate::par;
 use crate::report::{
@@ -293,7 +294,8 @@ impl TritonJoin {
         let r_bytes = n_r as u64 * TUPLE_BYTES;
         let s_bytes = n_s as u64 * TUPLE_BYTES;
         let total_bytes = r_bytes + s_bytes;
-        let b1 = Self::pass1_bits(r_bytes, total_bytes, hw);
+        let budget = GpuBudget::new(r_bytes, total_bytes, hw);
+        let b1 = budget.pass1_bits;
         let fanout1 = 1usize << b1;
         // Concurrent kernels split the SMs; the serial ablation gives
         // each stage the whole GPU instead.
@@ -303,18 +305,11 @@ impl TritonJoin {
             hw.gpu.num_sms
         };
 
-        // --- GPU memory budget: reserve the pipeline working set (two
-        // second-pass output pairs) and the Hierarchical L2 buffers; the
-        // remainder caches the partitioned arrays.
+        // --- GPU memory budget: the reserve stays free for the pair
+        // pipeline; the cache holds part of the partitioned arrays.
         let mut alloc = SimAllocator::new(hw);
-        let pair_bytes = (total_bytes / fanout1 as u64).max(1);
-        let reserve = 2 * pair_bytes + hw.gpu.mem_capacity.0 / 8;
-        let auto_cache = hw.gpu.mem_capacity.0.saturating_sub(reserve);
         let cache = if self.caching_enabled {
-            self.cache_bytes
-                .map(|b| b.0)
-                .unwrap_or(auto_cache)
-                .min(auto_cache)
+            budget.cache(self.cache_bytes)
         } else {
             0
         };
@@ -405,16 +400,14 @@ impl TritonJoin {
         // near-uniform histograms the proportional interleave already
         // overlaps link and GPU traffic within every kernel — in both
         // cases the planner declines and keeps the uniform split.
-        let max_pair_bytes = (0..fanout1)
-            .filter(|&i| self.pass2_bits(hist_r.totals[i] as usize) > 0)
-            .map(|i| (hist_r.totals[i] + hist_s.totals[i]) * TUPLE_BYTES)
-            .max()
-            .unwrap_or(0);
-        let gate_capacity = hw.gpu.mem_capacity.0.saturating_sub(cache.min(total_bytes));
-        let worst_demand = max_pair_bytes * (1 + u64::from(cache < total_bytes));
-        let planning_pays = worst_demand > gate_capacity;
+        let gate = budget.gate(
+            cache,
+            (0..fanout1)
+                .filter(|&i| self.pass2_bits(hist_r.totals[i] as usize) > 0)
+                .map(|i| (hist_r.totals[i] + hist_s.totals[i]) * TUPLE_BYTES),
+        );
         let cache_plan = match (&estimates, self.skew.mechanisms()) {
-            (Some(est), Some(m)) if m.hot_cache && planning_pays => {
+            (Some(est), Some(m)) if m.hot_cache && gate.planning_pays => {
                 let extents: Vec<PairExtent> = (0..fanout1)
                     .map(|i| PairExtent {
                         r_pages: page_range(&hist_r.offsets, i),
@@ -443,7 +436,7 @@ impl TritonJoin {
         // Free GPU memory left beside the cached working set: the staging
         // area the pipeline materializes each pair into (the gpu_in copy
         // of a spilled pair plus the second-pass output). Uniform pairs
-        // fit by construction — the reservation above is sized for two
+        // fit by construction — the budget's reserve is sized for two
         // mean pairs — but a skewed hot pair can exceed it.
         let staging_capacity = alloc.available(MemSide::Gpu).0;
 
@@ -580,6 +573,11 @@ impl TritonJoin {
             cache_hit_bytes: placements.iter().map(|p| p.gpu_bytes).sum(),
             spilled_bytes: placements.iter().map(|p| p.bytes - p.gpu_bytes).sum(),
             pairs: placements,
+            reserve: budget.reserve(),
+            staging_capacity,
+            max_pair_bytes: gate.max_pair_bytes,
+            worst_demand: gate.worst_demand,
+            planning_pays: gate.planning_pays,
         };
 
         Ok(JoinReport {

@@ -3,13 +3,14 @@
 //! memory.
 //!
 //! Each operator already sizes its own working set against the full GPU
-//! (`TritonJoin` reserves two partition-pair buffers plus an eighth of
-//! device memory for the runtime, then caches the rest; the NPJ caches
+//! (`TritonJoin` holds back its [`GpuBudget`] reserve, two partition-pair
+//! buffers plus the runtime slice, then caches the rest; the NPJ caches
 //! its hash table). Under concurrency the controller makes that budget
-//! explicit: it reserves the operator's *pipeline floor* and hands out a
-//! *cache grant* from whatever device memory remains, and the query runs
-//! with `cache_bytes = Some(grant)` so its internal allocator stays
-//! inside the reservation. The sum of reservations can never exceed the
+//! explicit: it reserves the operator's *pipeline floor*, read from the
+//! same [`GpuBudget`] the operator runs with, and hands out a *cache
+//! grant* from whatever device memory remains, and the query runs with
+//! `cache_bytes = Some(grant)` so its cache stays inside the
+//! reservation. The sum of reservations can never exceed the
 //! (scaled) GPU capacity — that is enforced by a [`SimAllocator`], the
 //! same capacity arithmetic the operators use.
 //!
@@ -25,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use triton_core::TritonJoin;
+use triton_core::{GpuBudget, TritonJoin};
 use triton_datagen::TUPLE_BYTES;
 use triton_hw::kernel::KernelCost;
 use triton_hw::units::{Bytes, Ns};
@@ -247,24 +248,15 @@ impl AdmissionController {
         let s_bytes = query.workload.s.len() as u64 * TUPLE_BYTES;
         let total = r_bytes + s_bytes;
         match &query.op {
-            Operator::Triton(_) => {
-                // Mirrors TritonJoin::try_run's internal reservation: two
-                // partition-pair buffers plus an eighth of device memory
-                // for the runtime and staging.
-                let b1 = TritonJoin::pass1_bits(r_bytes, total, hw);
-                let pair = (total >> b1).max(1);
-                Bytes(2 * pair) + hw.gpu.mem_capacity / 8
-            }
+            Operator::Triton(_) => Bytes(GpuBudget::new(r_bytes, total, hw).reserve()),
             // NPJ streams the inputs; only the runtime slice is a floor
             // (the hash table degrades gracefully to CPU memory).
-            Operator::NoPartitioning(_) => hw.gpu.mem_capacity / 8,
+            Operator::NoPartitioning(_) => Bytes(GpuBudget::runtime_slice(hw)),
             // The CPU partitions into CPU memory; the GPU only holds the
             // current working-set pair plus a small staging slice — the
             // cheap middle rung of the degradation ladder.
             Operator::CpuPartitioned(_) => {
-                let b1 = TritonJoin::pass1_bits(r_bytes, total, hw);
-                let pair = (total >> b1).max(1);
-                Bytes(2 * pair) + hw.gpu.mem_capacity / 16
+                Bytes(GpuBudget::new(r_bytes, total, hw).pair_buffers()) + hw.gpu.mem_capacity / 16
             }
             // CPU operators take no GPU memory at all.
             Operator::CpuRadix(_) => Bytes(0),
@@ -717,5 +709,47 @@ mod tests {
             Operator::Triton(j) => assert_eq!(j.cache_bytes, Some(r.cache_grant)),
             _ => panic!("expected a Triton operator"),
         }
+    }
+
+    /// Admission's floor for a Triton query is the reserve the join
+    /// reports holding back, across sizes, build-to-probe ratios, scales
+    /// and skew policies; at K = 512 the 2048 M join and the Zipf 1.5
+    /// 512 M join both hold 4 444 304 B of a 33 554 432 B device.
+    #[test]
+    fn triton_floor_equals_the_reserve_the_join_reports() {
+        use triton_core::SkewPolicy;
+        let mut specs = Vec::new();
+        for k in [512, 4096] {
+            for m in [8, 128, 512, 2048] {
+                specs.push(WorkloadSpec::paper_default(m, k));
+                specs.push(WorkloadSpec::with_ratio(m, 32, k));
+            }
+        }
+        specs.push(WorkloadSpec::skewed(512, 1.5, 512));
+        let mut pinned = 0;
+        for spec in specs {
+            let hw = HwConfig::ac922().scaled(spec.scale);
+            let w = spec.generate();
+            for skew in [SkewPolicy::Off, SkewPolicy::aware()] {
+                let q = JoinQuery {
+                    op: Operator::Triton(TritonJoin {
+                        skew,
+                        ..TritonJoin::default()
+                    }),
+                    ..JoinQuery::new("q", w.clone(), Ns::ZERO)
+                };
+                let report = q.op.run(&q.workload, &hw).expect("the join fits");
+                let reserve = report.placement.expect("Triton reports placement").reserve;
+                let floor = AdmissionController::min_reserve(&q, &hw);
+                assert_eq!(floor.0, reserve, "{spec:?}, {skew:?}");
+                let m = spec.r_tuples_modeled / triton_datagen::M;
+                if spec.scale == 512 && (m == 2048 || spec.zipf_theta == 1.5) {
+                    assert_eq!(hw.gpu.mem_capacity.0, 33_554_432);
+                    assert_eq!(reserve, 4_444_304, "{spec:?}, {skew:?}");
+                    pinned += 1;
+                }
+            }
+        }
+        assert_eq!(pinned, 4, "both pinned K = 512 joins under both policies");
     }
 }

@@ -165,7 +165,7 @@ const PINS: &[(&str, [u64; 5])] = &[
             0x46b899f0f8e30eeb,
             0x7b0b78c194977ced,
             0x154e702ccedb07ee,
-            0x4709853bca639cf0,
+            0x5ed02bf80ded8c44,
         ],
     ),
     (
@@ -175,7 +175,7 @@ const PINS: &[(&str, [u64; 5])] = &[
             0xefdbb97985050585,
             0xac84766d97632221,
             0x24a1d3b7a2aae9ea,
-            0x2cdff238a885db6b,
+            0x89f272b8092bef28,
         ],
     ),
     (
@@ -185,7 +185,7 @@ const PINS: &[(&str, [u64; 5])] = &[
             0x5f6d882f5d7c2b00,
             0x277daca171357e61,
             0x42172a05dc3d6423,
-            0xf296f7c7de1cd9ba,
+            0x2d60e8aac17c75c2,
         ],
     ),
     (
@@ -205,7 +205,7 @@ const PINS: &[(&str, [u64; 5])] = &[
             0x61a84a8f8c9f3776,
             0x09b1abb0bb290898,
             0x1dc6aa88a5c4c6d9,
-            0xf572b210338be68e,
+            0x70a55c322896ec3c,
         ],
     ),
     (
@@ -215,7 +215,7 @@ const PINS: &[(&str, [u64; 5])] = &[
             0xfd0bea0bb7c2d63e,
             0x6b4aeae2117d7973,
             0x25e0a36871edb61d,
-            0xf57f873e25276344,
+            0x84078ee235f4bf1a,
         ],
     ),
 ];

@@ -8,7 +8,7 @@
 //! sum of all operators — and the same estimates drive the greedy
 //! placement rule deciding which edges stay resident.
 
-use triton_core::{BloomFilter, TritonJoin};
+use triton_core::{BloomFilter, GpuBudget};
 use triton_datagen::TUPLE_BYTES;
 use triton_hw::HwConfig;
 
@@ -55,25 +55,20 @@ pub fn estimate_cardinalities(plan: &Plan, input_tuples: &[u64]) -> Vec<u64> {
 }
 
 /// Working-state floor of one node: the bytes its operator reserves in
-/// GPU memory while running, mirroring each operator's internal
-/// reservation (`TritonJoin`: two first-pass partition pairs plus the
-/// pipeline slack; `GpuAggregation`: the same shape over one relation;
-/// `BloomFilter`: the filter array).
+/// GPU memory while running. Joins and aggregations read the reserve of
+/// the [`GpuBudget`] they run with (an aggregation budgets its input as
+/// a join's build side); a Bloom node holds its filter array.
 fn node_floor(node: &PlanNode, est: &[u64], hw: &HwConfig) -> u64 {
-    let cap8 = hw.gpu.mem_capacity.0 / 8;
     match *node {
         PlanNode::Scan { .. } | PlanNode::Select { .. } => 0,
         PlanNode::Bloom { build, .. } => BloomFilter::build_side_bytes(est[build] as usize),
         PlanNode::Join { build, probe, .. } => {
-            let r_bytes = est[build] * TUPLE_BYTES;
             let total = (est[build] + est[probe]) * TUPLE_BYTES;
-            let b1 = TritonJoin::pass1_bits(r_bytes, total, hw);
-            2 * (total >> b1).max(1) + cap8
+            GpuBudget::new(est[build] * TUPLE_BYTES, total, hw).reserve()
         }
         PlanNode::Agg { child } => {
             let bytes = est[child] * TUPLE_BYTES;
-            let b1 = TritonJoin::pass1_bits(bytes, bytes, hw);
-            2 * (bytes >> b1).max(1) + cap8
+            GpuBudget::new(bytes, bytes, hw).reserve()
         }
     }
 }

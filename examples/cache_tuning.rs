@@ -24,18 +24,38 @@ fn main() {
             m * 32 / 1024
         );
         println!(
-            "{:>12} {:>12} {:>10}",
-            "cache (GiB)", "G tuples/s", "vs 0-cache"
+            "{:>12} {:>12} {:>10} {:>14} {:>14} {:>14}",
+            "cache (GiB)",
+            "G tuples/s",
+            "vs 0-cache",
+            "reserve (GiB)",
+            "staging (GiB)",
+            "planning pays"
         );
+        // Reported device bytes, in modeled GiB.
+        let modeled_gib = |bytes: u64| (bytes * k) as f64 / gib as f64;
         let mut base = None;
         for cache_gib in [0.0f64, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 14.9] {
             let join = TritonJoin {
                 cache_bytes: Some(Bytes(((cache_gib * gib as f64) as u64) / k)),
                 ..TritonJoin::default()
             };
-            let tput = join.run(&w, &hw).throughput_gtps();
+            let report = join.run(&w, &hw);
+            let placement = report
+                .placement
+                .as_ref()
+                .expect("the Triton join reports placement");
+            let tput = report.throughput_gtps();
             let b = *base.get_or_insert(tput);
-            println!("{:>12.1} {:>12.3} {:>9.2}x", cache_gib, tput, tput / b);
+            println!(
+                "{:>12.1} {:>12.3} {:>9.2}x {:>14.2} {:>14.2} {:>14}",
+                cache_gib,
+                tput,
+                tput / b,
+                modeled_gib(placement.reserve),
+                modeled_gib(placement.staging_capacity),
+                placement.planning_pays
+            );
         }
     }
 
@@ -43,6 +63,9 @@ fn main() {
         "\nNo cliffs in either direction: the interleaved GPU/CPU page\n\
          mapping spreads the cached share evenly through the working set,\n\
          so every extra GiB of cache helps a little and a mis-sized cache\n\
-         never falls off a cliff (Section 6.2.7)."
+         never falls off a cliff (Section 6.2.7). The reserve (two\n\
+         partition pairs plus the runtime's eighth) never moves; staging is\n\
+         whatever the cache leaves free, and a skew-aware join plans its\n\
+         placement only when the largest pair would not fit there."
     );
 }

@@ -221,7 +221,8 @@ fn triton_matches_reference() {
 /// eighth the scaled size, where the hot pair outgrows staging: the
 /// blind executor must take the `Spill` path and the skew-aware one must
 /// chunk lanes somewhere in the run, so neither overflow answer is
-/// checked vacuously. The fuzz stream can be re-seeded from the
+/// checked vacuously; the placement gate must both pass and decline
+/// somewhere, so both of its branches are checked. The fuzz stream can be re-seeded from the
 /// environment (`TRITON_GRANT_FUZZ_SEED`) so CI can sweep several
 /// deterministic streams.
 #[test]
@@ -232,6 +233,7 @@ fn join_results_identical_across_cache_budgets() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
     let (mut case, mut cached, mut spilled, mut chunked) = (0u32, 0u32, 0u32, 0u32);
+    let (mut pays, mut declines) = (0u32, 0u32);
     for_cases("join_results_identical_across_cache_budgets", |rng| {
         if env_seed != 0 {
             // Re-seed the case stream so each CI seed draws different
@@ -276,6 +278,11 @@ fn join_results_identical_across_cache_budgets() {
                 );
                 let lanes = rep.overlap.as_ref().map_or(0, |o| o.stage_a.len());
                 let placement = rep.placement.expect("the Triton join reports placement");
+                if placement.planning_pays {
+                    pays += 1;
+                } else {
+                    declines += 1;
+                }
                 if cache == 0 {
                     assert_eq!(
                         placement.cache_hit_bytes, 0,
@@ -307,6 +314,14 @@ fn join_results_identical_across_cache_budgets() {
     assert!(
         chunked > 0,
         "no skew-aware lane was chunked: vacuous property"
+    );
+    assert!(
+        pays > 0,
+        "the placement gate never passed: vacuous property"
+    );
+    assert!(
+        declines > 0,
+        "the placement gate never declined: vacuous property"
     );
 }
 
