@@ -99,12 +99,9 @@ pub fn run_l2_sweep(hw: &HwConfig, m_tuples: u64) -> Vec<Row> {
             value: w.r.len() as f64 * 16.0 / gib / cost.timing(hw).total.as_secs(),
         }
     };
-    let mut rows = vec![measure(&SharedSwwc::default(), "none (Shared)".into())];
+    let mut rows = vec![measure(&SharedSwwc, "none (Shared)".into())];
     for l2 in [8usize, 32, 128, 256] {
-        let p = HierarchicalSwwc {
-            l2_tuples: l2,
-            ..HierarchicalSwwc::default()
-        };
+        let p = HierarchicalSwwc { l2_tuples: l2 };
         rows.push(measure(&p, format!("L2 = {l2} tuples")));
     }
     rows

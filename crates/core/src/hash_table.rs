@@ -44,32 +44,33 @@ pub const BUCKET_CHAIN_ENTRIES: usize = 2048;
 ///
 /// `buckets[h]` holds the index of the first tuple in bucket `h`;
 /// `next[i]` chains to the following tuple. Indices are offset by one so
-/// that 0 means "empty".
+/// that 0 means "empty". The table borrows the build partition's columns
+/// in place; only the buckets and the chain are its own.
 #[derive(Debug, Clone)]
-pub struct BucketChainTable {
+pub struct BucketChainTable<'a> {
     buckets: Vec<u32>,
     next: Vec<u32>,
-    keys: Vec<u64>,
-    rids: Vec<u64>,
+    keys: &'a [u64],
+    rids: &'a [u64],
     mask: u64,
     skip_bits: u32,
 }
 
-impl BucketChainTable {
+impl<'a> BucketChainTable<'a> {
     /// Build from a build-side partition. `O(n)`.
     ///
     /// `skip_bits` must be the number of low hash bits the radix
     /// partitioning already consumed: every tuple of a partition shares
     /// those bits, so the bucket index uses the bits *above* them —
     /// otherwise all tuples would collapse into a handful of buckets.
-    pub fn build(keys: &[u64], rids: &[u64], entries: usize, skip_bits: u32) -> Self {
+    pub fn build(keys: &'a [u64], rids: &'a [u64], entries: usize, skip_bits: u32) -> Self {
         assert!(entries.is_power_of_two());
         assert!(skip_bits < 64);
         let mut t = BucketChainTable {
             buckets: vec![0; entries],
             next: vec![0; keys.len()],
-            keys: keys.to_vec(),
-            rids: rids.to_vec(),
+            keys,
+            rids,
             mask: entries as u64 - 1,
             skip_bits,
         };
@@ -99,7 +100,7 @@ impl BucketChainTable {
     }
 
     /// Iterate all matches for `key` (non-unique build keys).
-    pub fn probe_all<'a>(&'a self, key: u64) -> impl Iterator<Item = u64> + 'a {
+    pub fn probe_all<'t>(&'t self, key: u64) -> impl Iterator<Item = u64> + 't {
         let h = ((multiply_shift(key) >> self.skip_bits) & self.mask) as usize;
         let mut cur = self.buckets[h];
         std::iter::from_fn(move || {
@@ -137,7 +138,8 @@ impl BucketChainTable {
         steps
     }
 
-    /// Bytes this table occupies (buckets + chain + tuple columns).
+    /// Bytes this table occupies (buckets + chain + tuple columns),
+    /// counting the borrowed columns.
     pub fn bytes(&self) -> u64 {
         (self.buckets.len() * 4 + self.next.len() * 4 + self.keys.len() * 16) as u64
     }

@@ -27,7 +27,7 @@ use triton_hw::units::{Bytes, Ns};
 use triton_hw::{HwConfig, MemSide};
 use triton_mem::{HybridLayout, SimAllocator};
 use triton_part::{
-    compute_histogram, cpu_prefix_sum_cost, gpu_prefix_sum, make_partitioner, Algorithm,
+    compute_histogram, cpu_prefix_sum_cost, gpu_prefix_sum, make_partitioner, recycle, Algorithm,
     GpuPartitioner, HistogramResult, Partitioned, PassConfig, Span,
 };
 
@@ -512,6 +512,14 @@ impl TritonJoin {
                 fold.absorb(tail);
             }
             None => pipeline.run(0..fanout1, &mut fold, opts.sink.as_deref_mut()),
+        }
+        // The next join's first pass writes into these columns instead of
+        // page-faulting fresh ones. A plan join keeps its own: the next
+        // plan node allocates its input right after the join, so held
+        // columns would add to plan-tpch's peak RSS.
+        if opts.sink.is_none() {
+            recycle(parts_r);
+            recycle(parts_s);
         }
         let PairFold {
             result,

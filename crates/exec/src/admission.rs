@@ -243,6 +243,11 @@ impl AdmissionController {
     /// floor without any cache grant. A query whose floor exceeds the
     /// whole GPU can never be admitted (the caller should reject it
     /// permanently rather than queue it).
+    ///
+    /// A Triton join's floor budgets the unfiltered probe side. With
+    /// `bloom_prefilter` the join budgets only the probe tuples that pass
+    /// the filter, so its reported reserve can be lower than this floor,
+    /// never higher.
     pub fn min_reserve(query: &JoinQuery, hw: &HwConfig) -> Bytes {
         let r_bytes = query.workload.r.len() as u64 * TUPLE_BYTES;
         let s_bytes = query.workload.s.len() as u64 * TUPLE_BYTES;
@@ -751,5 +756,42 @@ mod tests {
             }
         }
         assert_eq!(pinned, 4, "both pinned K = 512 joins under both policies");
+    }
+
+    /// A Bloom-prefiltered join budgets the probe tuples that survive the
+    /// filter, so its reserve can only fall below the floor, which
+    /// budgets all of S: admission may over-reserve, never under-reserve.
+    /// At K = 512, `selective(512, 0.1, 512)` reserves 4 331 776 B
+    /// against a floor of 4 444 304 B.
+    #[test]
+    fn bloom_prefiltered_join_never_reserves_above_its_floor() {
+        let mut pinned = 0;
+        for k in [512, 4096] {
+            let hw = HwConfig::ac922().scaled(k);
+            let specs = [
+                WorkloadSpec::selective(512, 0.1, k),
+                WorkloadSpec::selective(128, 0.5, k),
+                WorkloadSpec::paper_default(512, k),
+            ];
+            for (i, spec) in specs.into_iter().enumerate() {
+                let w = spec.generate();
+                let q = JoinQuery {
+                    op: Operator::Triton(TritonJoin {
+                        bloom_prefilter: true,
+                        ..TritonJoin::default()
+                    }),
+                    ..JoinQuery::new("q", w, Ns::ZERO)
+                };
+                let report = q.op.run(&q.workload, &hw).expect("the join fits");
+                let reserve = report.placement.expect("Triton reports placement").reserve;
+                let floor = AdmissionController::min_reserve(&q, &hw);
+                assert!(floor.0 >= reserve, "{spec:?}: floor {floor:?} < {reserve}");
+                if (k, i) == (512, 0) {
+                    assert_eq!((floor.0, reserve), (4_444_304, 4_331_776));
+                    pinned += 1;
+                }
+            }
+        }
+        assert_eq!(pinned, 1);
     }
 }

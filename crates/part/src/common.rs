@@ -209,7 +209,7 @@ impl ChargeCtx<'_> {
     }
 
     /// One translation, counted in the kernel's TLB statistics.
-    fn translate(&mut self, vaddr: u64, side: MemSide) {
+    pub(crate) fn translate(&mut self, vaddr: u64, side: MemSide) {
         let stats = &mut self.cost.tlb;
         match (self.tlb.translate(vaddr, side), side) {
             (TlbLevel::L2Hit, _) => stats.l2_hits += 1,

@@ -34,7 +34,7 @@ pub use common::{ChargeCtx, InstrCosts, Location, Partitioned, PassConfig, Span}
 pub use cpu_swwc::{cpu_partition_time, cpu_swwc_partition, plan_passes, CpuPartitionResult};
 pub use hierarchical::HierarchicalSwwc;
 pub use linear::LinearSwwc;
-pub use partitioner::{partition_standalone, Algorithm, GpuPartitioner};
+pub use partitioner::{partition_standalone, recycle, spare_columns, Algorithm, GpuPartitioner};
 pub use prefix_sum::{compute_histogram, cpu_prefix_sum_cost, gpu_prefix_sum, HistogramResult};
 pub use shared::SharedSwwc;
 pub use standard::StandardScatter;
@@ -43,8 +43,8 @@ pub use standard::StandardScatter;
 pub fn make_partitioner(alg: Algorithm) -> Box<dyn GpuPartitioner> {
     match alg {
         Algorithm::Standard => Box::new(StandardScatter),
-        Algorithm::Linear => Box::new(LinearSwwc::default()),
-        Algorithm::Shared => Box::new(SharedSwwc::default()),
+        Algorithm::Linear => Box::new(LinearSwwc),
+        Algorithm::Shared => Box::new(SharedSwwc),
         Algorithm::Hierarchical => Box::new(HierarchicalSwwc::default()),
     }
 }

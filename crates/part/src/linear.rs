@@ -18,25 +18,13 @@ use crate::partitioner::{Algorithm, Emu, GpuPartitioner};
 use crate::prefix_sum::HistogramResult;
 
 /// The Linear (linear-allocator SWWC) partitioner.
-#[derive(Debug, Clone, Copy)]
-pub struct LinearSwwc {
-    /// Fraction of the scratchpad usable for the staging batch (the rest
-    /// holds the allocator state and per-partition metadata).
-    pub scratchpad_fraction: f64,
-}
-
-impl Default for LinearSwwc {
-    fn default() -> Self {
-        LinearSwwc {
-            scratchpad_fraction: 1.0,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LinearSwwc;
 
 impl LinearSwwc {
+    /// Tuples per staging batch: the whole scratchpad.
     fn batch_tuples(&self, hw: &HwConfig) -> usize {
-        ((hw.gpu.scratchpad.as_f64() * self.scratchpad_fraction) as u64 / TUPLE_BYTES).max(32)
-            as usize
+        (hw.gpu.scratchpad.0 / TUPLE_BYTES).max(32) as usize
     }
 }
 
@@ -126,8 +114,8 @@ mod tests {
 
     #[test]
     fn functional_correctness() {
-        check_partitioner(&LinearSwwc::default(), 6, 0);
-        check_partitioner(&LinearSwwc::default(), 4, 6);
+        check_partitioner(&LinearSwwc, 6, 0);
+        check_partitioner(&LinearSwwc, 4, 6);
     }
 
     #[test]
@@ -139,8 +127,8 @@ mod tests {
         let tpt = |bits: u32| {
             let pass = PassConfig::new(bits, 0);
             let hist = compute_histogram(&w.r.keys, 160, bits, 0);
-            let (_, cost) = LinearSwwc::default()
-                .partition(&w.r.keys, &w.r.rids, &hist, &input, &output, &pass, &hw);
+            let (_, cost) =
+                LinearSwwc.partition(&w.r.keys, &w.r.rids, &hist, &input, &output, &pass, &hw);
             cost.tuples_per_txn()
         };
         let low = tpt(2);

@@ -7,6 +7,12 @@
 //! each partition through a global atomic cursor — one write frontier per
 //! partition — which is also what makes the TLB working set of a
 //! partitioning pass proportional to the fanout (Section 3.4.2).
+//!
+//! A pass's output columns can be handed back with [`recycle`]; the next
+//! pass of the same length writes into them instead of page-faulting
+//! fresh ones (DESIGN.md §8).
+
+use std::sync::Mutex;
 
 use triton_datagen::{multiply_shift, radix, TUPLE_BYTES};
 use triton_hw::gpu::split_chunks;
@@ -75,6 +81,44 @@ pub trait GpuPartitioner {
     ) -> (Partitioned, KernelCost);
 }
 
+/// Output columns handed back by [`recycle`]: at most one join's R and S
+/// key and rid columns.
+static SPARES: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
+const MAX_SPARES: usize = 4;
+
+/// Hand a pass's output columns back for the next pass of the same length
+/// to write into. Worth it only where nothing else is allocated before
+/// that pass: the held columns count towards the process's memory.
+pub fn recycle(p: Partitioned) {
+    if let Ok(mut spares) = SPARES.lock() {
+        spares.extend([p.keys, p.rids].into_iter().filter(|c| !c.is_empty()));
+        let excess = spares.len().saturating_sub(MAX_SPARES);
+        spares.drain(..excess);
+    }
+}
+
+/// Columns currently held by [`recycle`] (at most four).
+pub fn spare_columns() -> usize {
+    SPARES.lock().map_or(0, |spares| spares.len())
+}
+
+/// An output column of `n` slots: a spare of that length, else a fresh
+/// one after every spare is freed. A spare keeps its old contents; the
+/// pass rewrites every slot, because its cursors end exactly at the
+/// histogram offsets ([`Emu::finish`]).
+fn column(n: usize) -> Vec<u64> {
+    if n == 0 {
+        return Vec::new();
+    }
+    if let Ok(mut spares) = SPARES.lock() {
+        if let Some(i) = spares.iter().position(|c| c.len() == n) {
+            return spares.swap_remove(i);
+        }
+        spares.clear();
+    }
+    vec![0; n]
+}
+
 /// Mutable state shared by every algorithm's emulation loop.
 pub(crate) struct Emu<'a> {
     pub keys_out: Vec<u64>,
@@ -122,8 +166,8 @@ impl<'a> Emu<'a> {
             })
             .collect();
         Emu {
-            keys_out: vec![0; n],
-            rids_out: vec![0; n],
+            keys_out: column(n),
+            rids_out: column(n),
             cursors: hist.offsets[..hist.fanout()].to_vec(),
             model_addr,
             cost,
@@ -194,6 +238,10 @@ impl<'a> Emu<'a> {
     }
 
     /// Finish: package the partitioned output.
+    ///
+    /// Every slot was written exactly once: partition `p`'s cursor ran
+    /// from `offsets[p]` to `offsets[p + 1]`, and the offsets tile the
+    /// columns. A recycled column relies on this ([`column`]).
     pub(crate) fn finish(
         self,
         hist: &HistogramResult,
@@ -204,6 +252,8 @@ impl<'a> Emu<'a> {
             .iter()
             .zip(hist.offsets[1..].iter())
             .all(|(c, o)| c == o));
+        debug_assert_eq!(hist.offsets.first(), Some(&0));
+        debug_assert_eq!(hist.offsets.last(), Some(&self.keys_out.len()));
         (
             Partitioned {
                 keys: self.keys_out,

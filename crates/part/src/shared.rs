@@ -24,26 +24,14 @@ use crate::partitioner::{Algorithm, Emu, GpuPartitioner};
 use crate::prefix_sum::HistogramResult;
 
 /// The Shared SWWC partitioner.
-#[derive(Debug, Clone, Copy)]
-pub struct SharedSwwc {
-    /// Fraction of the scratchpad available for buffers (the remainder
-    /// holds fill-state counters and partition offsets).
-    pub scratchpad_fraction: f64,
-}
-
-impl Default for SharedSwwc {
-    fn default() -> Self {
-        SharedSwwc {
-            scratchpad_fraction: 1.0,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SharedSwwc;
 
 impl SharedSwwc {
-    /// Tuples per SWWC buffer at the given fanout.
+    /// Tuples per SWWC buffer at the given fanout: the whole scratchpad,
+    /// split evenly across the partitions.
     pub fn buffer_tuples(&self, hw: &HwConfig, fanout: usize) -> usize {
-        let bytes = (hw.gpu.scratchpad.as_f64() * self.scratchpad_fraction) as u64;
-        ((bytes / fanout as u64) / TUPLE_BYTES).max(1) as usize
+        ((hw.gpu.scratchpad / fanout as u64).0 / TUPLE_BYTES).max(1) as usize
     }
 }
 
@@ -115,15 +103,15 @@ mod tests {
 
     #[test]
     fn functional_correctness() {
-        check_partitioner(&SharedSwwc::default(), 6, 0);
-        check_partitioner(&SharedSwwc::default(), 9, 0);
-        check_partitioner(&SharedSwwc::default(), 5, 9);
+        check_partitioner(&SharedSwwc, 6, 0);
+        check_partitioner(&SharedSwwc, 9, 0);
+        check_partitioner(&SharedSwwc, 5, 9);
     }
 
     #[test]
     fn buffer_size_follows_fanout() {
         let hw = HwConfig::ac922();
-        let s = SharedSwwc::default();
+        let s = SharedSwwc;
         // 64 KiB scratchpad, 16-byte tuples.
         assert_eq!(s.buffer_tuples(&hw, 64), 64);
         assert_eq!(s.buffer_tuples(&hw, 512), 8);
@@ -139,7 +127,7 @@ mod tests {
         let bits = 8; // buffer = 32 tuples = 512 B
         let pass = PassConfig::new(bits, 0);
         let hist = compute_histogram(&w.r.keys, 160, bits, 0);
-        let (_, cost) = SharedSwwc::default().partition(
+        let (_, cost) = SharedSwwc.partition(
             &w.r.keys,
             &w.r.rids,
             &hist,
@@ -165,7 +153,7 @@ mod tests {
         let bits = 12; // buffer = 1 tuple
         let pass = PassConfig::new(bits, 0);
         let hist = compute_histogram(&w.r.keys, 160, bits, 0);
-        let (_, cost) = SharedSwwc::default().partition(
+        let (_, cost) = SharedSwwc.partition(
             &w.r.keys,
             &w.r.rids,
             &hist,
