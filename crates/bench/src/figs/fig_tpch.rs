@@ -6,7 +6,7 @@
 //! GPU memory whenever the footprint model says they fit beside every
 //! downstream operator floor, so it never pays the per-edge `Materialize`
 //! round-trip over the interconnect. Materialize-everything (the
-//! degradation ladder's top plan rung) keeps answers exact but adds an
+//! degradation ladder's plan rung) keeps answers exact but adds an
 //! evict + reload leg per edge; the gap widens with scale because edge
 //! bytes grow with the lineitem input while operator floors stay fixed.
 

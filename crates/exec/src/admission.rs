@@ -32,7 +32,6 @@ use triton_hw::kernel::KernelCost;
 use triton_hw::units::{Bytes, Ns};
 use triton_hw::{HwConfig, MemSide};
 use triton_mem::{Allocation, OutOfMemory, SimAllocator};
-use triton_plan::FootprintCache;
 
 use crate::query::{JoinQuery, Operator, QueryId};
 
@@ -142,13 +141,6 @@ pub struct AdmissionController {
     ever_admitted: BTreeSet<QueryId>,
     /// High-water mark of reserved GPU bytes (for metrics/tests).
     pub peak_reserved: Bytes,
-    /// Memoized plan-footprint analyses for [`Operator::Plan`] queries;
-    /// admission re-derives the same peak on every scheduling decision,
-    /// so repeat lookups skip the placement pass. Purely an evaluation
-    /// shortcut: hits return byte-identical floors.
-    plans: FootprintCache,
-    /// Whether min-reserve lookups go through the footprint memo.
-    plan_caching: bool,
 }
 
 impl AdmissionController {
@@ -161,27 +153,7 @@ impl AdmissionController {
             grants: BTreeMap::new(),
             ever_admitted: BTreeSet::new(),
             peak_reserved: Bytes(0),
-            plans: FootprintCache::new(),
-            plan_caching: true,
         }
-    }
-
-    /// Toggle the plan-footprint memo (the scheduler's cost-caching
-    /// knob). Off forces every lookup through the full placement pass;
-    /// results are identical either way.
-    pub fn set_plan_caching(&mut self, on: bool) {
-        self.plan_caching = on;
-    }
-
-    /// [`Self::min_reserve`] through the controller's footprint memo
-    /// when enabled — identical floors, cached placement passes.
-    pub fn min_reserve_of(&mut self, query: &JoinQuery, hw: &HwConfig) -> Bytes {
-        if self.plan_caching {
-            if let Operator::Plan(p) = &query.op {
-                return p.min_reserve_cached(hw, &mut self.plans);
-            }
-        }
-        Self::min_reserve(query, hw)
     }
 
     /// Current GPU capacity being arbitrated (initial capacity minus any
@@ -200,10 +172,6 @@ impl AdmissionController {
     /// revoke queries until [`Self::overcommitted`] returns zero.
     pub fn retire(&mut self, bytes: Bytes) -> Bytes {
         self.capacity = self.alloc.retire(MemSide::Gpu, bytes);
-        // Retirement changes what admission may grant; drop the memoized
-        // plan analyses so nothing priced against the old capacity can
-        // ever be consulted again (a flush only costs recomputation).
-        self.plans.flush();
         self.capacity
     }
 
@@ -312,7 +280,7 @@ impl AdmissionController {
         hw: &HwConfig,
         grant_shrink: u32,
     ) -> Result<MemoryGrant, OutOfMemory> {
-        let floor = self.min_reserve_of(query, hw);
+        let floor = Self::min_reserve(query, hw);
         let free = self.available().0;
         if floor.0 > free {
             return Err(OutOfMemory {

@@ -21,8 +21,9 @@
 //! shared, so each column is digested once and a key costs O(1) in the
 //! relation sizes, while equal content in separate allocations still
 //! keys equal. Plan operators bypass the cache: their inputs live in
-//! the plan itself and their footprint analyses are memoized separately
-//! ([`triton_plan::FootprintCache`]). Only successful runs are cached —
+//! the plan itself, and their footprint analysis
+//! ([`triton_plan::plan_footprint`]) is cheaper than any key over the
+//! plan (DESIGN.md §15). Only successful runs are cached —
 //! an OOM depends on the grant under which it happened and must be
 //! re-observed, never replayed. ECC retirement flushes the cache
 //! wholesale: the capacity change alters future *grants*, not cached

@@ -48,16 +48,17 @@
 //! * Resilience ([`crate::fault`], [`crate::resilience`]) — replay a
 //!   [`triton_hw::FaultPlan`] with [`Scheduler::run_with_faults`]: link
 //!   degradations reshape demand vectors, ECC retirements shrink
-//!   capacity and revoke reservations, kernel faults kill attempts; a
-//!   [`RetryPolicy`] with deterministic backoff, a degradation ladder
-//!   (Triton → CPU-partitioned → CPU radix), and a build-cache circuit
-//!   breaker recover victims without ever changing answers.
+//!   capacity and revoke reservations, kernel faults kill attempts;
+//!   retries with deterministic backoff ([`resilience::backoff`]), a
+//!   degradation ladder (Triton → CPU-partitioned → CPU radix), and a
+//!   build-cache circuit breaker recover victims without ever changing
+//!   answers.
 //! * Elastic grants ([`MemoryGrant`] / [`GrantRevision`] /
-//!   [`ElasticGrants`]) — admission grants are revisable contracts: the
-//!   scheduler shrinks running queries' optional cache shares in place
-//!   (priced through the link cost model, traced as `grant-revision`
-//!   events) before it ever revokes or sheds; the shrunk query's join
-//!   re-runs at the revised `cache_bytes`.
+//!   [`ResilienceConfig::elastic`]) — admission grants are revisable
+//!   contracts: the scheduler shrinks running queries' optional cache
+//!   shares in place (priced through the link cost model, traced as
+//!   `grant-revision` events) before it ever revokes or sheds; the
+//!   shrunk query's join re-runs at the revised `cache_bytes`.
 //!
 //! Execution stays functional: every admitted query really runs its
 //! operator and the per-query [`triton_core::JoinReport`] carries an
@@ -112,7 +113,7 @@ pub use observe::{
     SCHED_TID_GAUGES, TID_LIFECYCLE,
 };
 pub use query::{JoinQuery, Operator, QueryId};
-pub use resilience::{downgrade_operator, ElasticGrants, ResilienceConfig, RetryPolicy};
+pub use resilience::{downgrade_operator, ResilienceConfig};
 pub use scheduler::{
     CompletedQuery, Outcome, RejectReason, Scheduler, SchedulerConfig, ServeResult,
 };

@@ -1,8 +1,6 @@
 //! Query descriptors submitted to the serving runtime.
 
-use triton_core::{
-    CpuPartitionedJoin, CpuRadixJoin, JoinReport, NoPartitioningJoin, SkewPolicy, TritonJoin,
-};
+use triton_core::{CpuPartitionedJoin, CpuRadixJoin, JoinReport, NoPartitioningJoin, TritonJoin};
 use triton_datagen::{Rng, Workload, WorkloadSpec};
 use triton_hw::units::Ns;
 use triton_hw::HwConfig;
@@ -43,25 +41,6 @@ impl Operator {
     /// Default Triton configuration.
     pub fn triton() -> Self {
         Operator::Triton(TritonJoin::default())
-    }
-
-    /// Triton with the skew-aware policy (hotness-weighted placement,
-    /// LPT pipeline scheduling, heavy-hitter splitting) enabled.
-    pub fn triton_skew_aware() -> Self {
-        Operator::Triton(TritonJoin {
-            skew: SkewPolicy::aware(),
-            ..TritonJoin::default()
-        })
-    }
-
-    /// The skew policy this operator runs with, when it is a Triton join
-    /// or a plan (plans apply the policy to every join node).
-    pub fn skew(&self) -> Option<SkewPolicy> {
-        match self {
-            Operator::Triton(j) => Some(j.skew),
-            Operator::Plan(p) => Some(p.skew),
-            _ => None,
-        }
     }
 
     /// Execute the operator functionally, surfacing simulated OOM. Plans
@@ -171,18 +150,6 @@ impl JoinQuery {
             build_key: None,
             build_range: None,
         }
-    }
-
-    /// Set the skew policy of this query's Triton or plan operator; a
-    /// no-op for the other operators.
-    #[must_use]
-    pub fn with_skew(mut self, policy: SkewPolicy) -> Self {
-        match &mut self.op {
-            Operator::Triton(j) => j.skew = policy,
-            Operator::Plan(p) => p.skew = policy,
-            _ => {}
-        }
-        self
     }
 
     /// Derive a probe batch against the same build relation: keeps `R`

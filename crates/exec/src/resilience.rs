@@ -4,9 +4,10 @@
 //! Three mechanisms compose (motivated by the robust-dynamic-hybrid-join
 //! and CPU/GPU co-processing lines of work in PAPERS.md):
 //!
-//! * a [`RetryPolicy`] — exponential backoff with deterministic,
-//!   seed-derived jitter, bounded by each query's deadline, for
-//!   transient kernel failures;
+//! * **retry with backoff** ([`backoff`]) — exponential backoff with
+//!   deterministic, seed-derived jitter, bounded by each query's
+//!   deadline, for transient kernel failures; [`MAX_RETRIES`] failures
+//!   on one rung descend the ladder;
 //! * a **degradation ladder** ([`downgrade_operator`]) — on admission
 //!   failure or reservation revocation a query first shrinks its cache
 //!   grant, then walks Triton → CPU-partitioned GPU join → CPU radix
@@ -14,95 +15,78 @@
 //! * a **circuit breaker** on the build cache (see
 //!   [`crate::build_cache::BuildCache::quarantine_all`]).
 //!
+//! Above the ladder sit *elastic grants* ([`ResilienceConfig::elastic`]):
+//! under memory pressure the scheduler shrinks running queries' optional
+//! cache shares in place, at most [`MAX_REVISIONS`] times per query,
+//! before it revokes anyone.
+//!
 //! Faults may change timing, placement, and operator choice — never
 //! answers: every recovered query still produces an exact result.
 
-use triton_core::{CpuPartitionedJoin, CpuRadixJoin, HashScheme, SkewPolicy, TritonJoin};
+use triton_core::{CpuPartitionedJoin, CpuRadixJoin, HashScheme};
 use triton_hw::fault::unit_f64;
 use triton_hw::units::Ns;
 
 use crate::query::{Operator, QueryId};
 
-/// Exponential backoff with deterministic jitter for transient faults.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Transient failures tolerated on one ladder rung before the query
-    /// is downgraded to the next operator.
-    pub max_retries: u32,
-    /// First backoff delay.
-    pub base_backoff: Ns,
-    /// Backoff growth per attempt.
-    pub multiplier: f64,
-    /// Jitter amplitude as a fraction of the delay (`0.25` spreads each
-    /// delay ±25%), derived deterministically from the seed, the query
-    /// id, and the attempt number.
-    pub jitter_frac: f64,
-    /// Seed for the jitter stream.
-    pub seed: u64,
+/// Transient failures tolerated on one ladder rung before the query is
+/// downgraded to the next operator.
+pub const MAX_RETRIES: u32 = 2;
+
+/// In-place grant revisions a running query absorbs before it stops
+/// being a shrink victim (so one query's cache is not sanded away a page
+/// at a time while others sit untouched).
+pub const MAX_REVISIONS: u32 = 4;
+
+/// Seed of the backoff jitter stream.
+const JITTER_SEED: u64 = 0x7E57_AB1E;
+
+/// Jitter amplitude as a fraction of the delay: each delay spreads ±25%.
+const JITTER_FRAC: f64 = 0.25;
+
+/// The backoff before retry number `attempt` (0-based) of `id`: 1 ms
+/// doubling per attempt, jittered. Deterministic: the same `(id,
+/// attempt)` always yields the same delay, so chaos runs replay
+/// byte-identically.
+#[must_use]
+pub fn backoff(id: QueryId, attempt: u32) -> Ns {
+    let raw = Ns::millis(1.0).0 * 2.0f64.powi(attempt.min(16) as i32);
+    let u = unit_f64(
+        JITTER_SEED ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(attempt) << 17),
+    );
+    let jitter = 1.0 + JITTER_FRAC * (2.0 * u - 1.0);
+    Ns(raw * jitter)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff: Ns::millis(1.0),
-            multiplier: 2.0,
-            jitter_frac: 0.25,
-            seed: 0x7E57_AB1E,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry number `attempt` (0-based) of `id`.
-    /// Deterministic: the same `(seed, id, attempt)` always yields the
-    /// same delay, so chaos runs replay byte-identically.
-    #[must_use]
-    pub fn backoff(&self, id: QueryId, attempt: u32) -> Ns {
-        let raw = self.base_backoff.0 * self.multiplier.powi(attempt.min(16) as i32);
-        let u = unit_f64(
-            self.seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(attempt) << 17),
-        );
-        let jitter = 1.0 + self.jitter_frac.clamp(0.0, 1.0) * (2.0 * u - 1.0);
-        Ns((raw * jitter).max(0.0))
-    }
-
-    /// [`Self::backoff`] clamped so the query becomes eligible no later
-    /// than `deadline_slack` from now — a retry scheduled past the
-    /// deadline is a guaranteed shed, so the policy spends at most the
-    /// remaining budget waiting.
-    #[must_use]
-    pub fn backoff_within(&self, id: QueryId, attempt: u32, deadline_slack: Option<Ns>) -> Ns {
-        let b = self.backoff(id, attempt);
-        match deadline_slack {
-            Some(slack) => b.min(slack.max(Ns::ZERO)),
-            None => b,
-        }
+/// [`backoff`] clamped so the query becomes eligible no later than
+/// `deadline_slack` from now — a retry scheduled past the deadline is a
+/// guaranteed shed, so recovery spends at most the remaining budget
+/// waiting.
+#[must_use]
+pub fn backoff_within(id: QueryId, attempt: u32, deadline_slack: Option<Ns>) -> Ns {
+    let b = backoff(id, attempt);
+    match deadline_slack {
+        Some(slack) => b.min(slack.max(Ns::ZERO)),
+        None => b,
     }
 }
 
 /// The next rung of the degradation ladder, or `None` at the bottom.
 ///
-/// Skew-aware Triton → plain Triton → CPU-partitioned GPU join (tiny
-/// GPU footprint) → CPU radix join (no GPU at all). The first rung
-/// drops only the skew policy: the planned placement and pair chunking
-/// are the most speculative machinery, so a faulting query falls back
-/// to the uniform executor before giving up GPU partitioning entirely.
-/// The no-partitioning join degrades like plain Triton: its global hash
-/// table is what GPU faults keep killing.
+/// Triton (either skew policy) → CPU-partitioned GPU join (tiny GPU
+/// footprint) → CPU radix join (no GPU at all). The skew policy is kept
+/// until Triton is given up: dropping it frees no memory and changes no
+/// fault exposure. The no-partitioning join degrades like Triton: its
+/// global hash table is what GPU faults keep killing.
 ///
-/// Plans learn a new *top* rung: force-materialize every intermediate
-/// to host memory first (fidelity kept, the reservation shrinks to the
-/// largest single operator floor), and only then drop skew-awareness.
-/// A plan that still faults after both is shed — single-join fallback
-/// operators cannot answer a multi-operator query.
+/// Plans have one rung of their own: force-materialize every
+/// intermediate to host memory (fidelity kept, the reservation shrinks
+/// to the largest single operator floor). A plan that still faults is
+/// shed — single-join fallback operators cannot answer a multi-operator
+/// query.
 #[must_use]
 pub fn downgrade_operator(op: &Operator) -> Option<Operator> {
     match op {
-        Operator::Triton(j) if j.skew.is_aware() => Some(Operator::Triton(TritonJoin {
-            skew: SkewPolicy::Off,
-            ..j.clone()
-        })),
         Operator::Triton(_) | Operator::NoPartitioning(_) => {
             Some(Operator::CpuPartitioned(CpuPartitionedJoin::default()))
         }
@@ -115,53 +99,7 @@ pub fn downgrade_operator(op: &Operator) -> Option<Operator> {
             p.force_materialize = true;
             Some(Operator::Plan(p))
         }
-        Operator::Plan(p) if p.skew.is_aware() => {
-            let mut p = p.clone();
-            p.skew = SkewPolicy::Off;
-            Some(Operator::Plan(p))
-        }
         Operator::Plan(_) => None,
-    }
-}
-
-/// Elastic-grant policy: whether (and how often) the scheduler may
-/// revise a running query's [`crate::admission::MemoryGrant`] in place
-/// instead of revoking it. This adds **shrink-in-place rungs above the
-/// degradation ladder's drop-everything steps**: when memory pressure
-/// hits (a device retires pages, or a bursty arrival cannot be
-/// admitted), the scheduler first issues priced
-/// [`crate::admission::GrantRevision::Shrink`]s against running
-/// queries' optional cache shares — each a traced, link-cost-priced
-/// event — and only once every cache grant is exhausted does it fall
-/// back to revocation and the operator ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticGrants {
-    /// Master switch. Off reproduces the fixed-grant scheduler exactly:
-    /// pressure goes straight to revocation/shedding.
-    pub enabled: bool,
-    /// Revisions tolerated per running query before it stops being a
-    /// shrink victim (so one query's cache is not sanded away a page at
-    /// a time while others sit untouched).
-    pub max_revisions: u32,
-}
-
-impl Default for ElasticGrants {
-    fn default() -> Self {
-        ElasticGrants {
-            enabled: true,
-            max_revisions: 4,
-        }
-    }
-}
-
-impl ElasticGrants {
-    /// The fixed-grant baseline: grants are immutable once issued.
-    #[must_use]
-    pub fn fixed() -> Self {
-        ElasticGrants {
-            enabled: false,
-            max_revisions: 0,
-        }
     }
 }
 
@@ -171,18 +109,22 @@ pub struct ResilienceConfig {
     /// Master switch. Disabled, every fault sheds its victim — the
     /// baseline the resilient path is compared against.
     pub enabled: bool,
-    /// Retry/backoff policy for transient faults and revocations.
-    pub retry: RetryPolicy,
-    /// Elastic-grant policy: shrink-in-place before revoke/shed.
-    pub elastic: ElasticGrants,
+    /// Elastic grants: under memory pressure (a device retires pages, or
+    /// a bursty deadline-holding arrival cannot be admitted) the
+    /// scheduler first issues priced, traced
+    /// [`crate::admission::GrantRevision::Shrink`]s against running
+    /// queries' optional cache shares, and only once every cache grant is
+    /// exhausted falls back to revocation and the operator ladder. Off
+    /// reproduces the fixed-grant scheduler: pressure goes straight to
+    /// revocation/shedding.
+    pub elastic: bool,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             enabled: true,
-            retry: RetryPolicy::default(),
-            elastic: ElasticGrants::default(),
+            elastic: true,
         }
     }
 }
@@ -202,7 +144,7 @@ impl ResilienceConfig {
     #[must_use]
     pub fn fixed_grants() -> Self {
         ResilienceConfig {
-            elastic: ElasticGrants::fixed(),
+            elastic: false,
             ..Self::default()
         }
     }
@@ -211,18 +153,18 @@ impl ResilienceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triton_core::{SkewPolicy, TritonJoin};
 
     #[test]
     fn backoff_grows_and_is_deterministic() {
-        let p = RetryPolicy::default();
-        let a0 = p.backoff(QueryId(1), 0);
-        let a1 = p.backoff(QueryId(1), 1);
-        let a2 = p.backoff(QueryId(1), 2);
+        let a0 = backoff(QueryId(1), 0);
+        let a1 = backoff(QueryId(1), 1);
+        let a2 = backoff(QueryId(1), 2);
         assert!(a1.0 > a0.0 * 1.2, "{a0} -> {a1} should roughly double");
         assert!(a2.0 > a1.0 * 1.2);
-        assert_eq!(p.backoff(QueryId(1), 1), a1, "same inputs, same delay");
+        assert_eq!(backoff(QueryId(1), 1), a1, "same inputs, same delay");
         assert_ne!(
-            p.backoff(QueryId(2), 0).0,
+            backoff(QueryId(2), 0).0,
             a0.0,
             "different queries must not retry in lockstep"
         );
@@ -230,46 +172,27 @@ mod tests {
 
     #[test]
     fn backoff_respects_deadline_slack() {
-        let p = RetryPolicy::default();
-        let b = p.backoff_within(QueryId(3), 5, Some(Ns(10.0)));
+        let b = backoff_within(QueryId(3), 5, Some(Ns(10.0)));
         assert!(b.0 <= 10.0);
-        let unbounded = p.backoff_within(QueryId(3), 5, None);
+        let unbounded = backoff_within(QueryId(3), 5, None);
         assert!(unbounded.0 > 10.0, "attempt 5 should back off far longer");
     }
 
     #[test]
     fn ladder_ends_at_cpu_radix() {
-        let mut op = Operator::triton();
-        let mut rungs = vec![op.label()];
-        while let Some(next) = downgrade_operator(&op) {
-            op = next;
-            rungs.push(op.label());
-        }
-        assert_eq!(rungs, vec!["triton", "cpu-part", "cpu-radix"]);
-        assert!(!op.uses_gpu(), "the bottom rung must not need the GPU");
-    }
-
-    #[test]
-    fn skew_aware_downgrades_to_plain_triton_first() {
-        let op = Operator::Triton(TritonJoin {
+        let skew_aware = Operator::Triton(TritonJoin {
             skew: SkewPolicy::aware(),
             ..TritonJoin::default()
         });
-        let next = downgrade_operator(&op).unwrap();
-        match &next {
-            Operator::Triton(j) => assert!(
-                !j.skew.is_aware(),
-                "first rung must only drop the skew policy"
-            ),
-            other => panic!("expected plain Triton, got {}", other.label()),
+        for start in [Operator::triton(), skew_aware] {
+            let mut op = start;
+            let mut rungs = vec![op.label()];
+            while let Some(next) = downgrade_operator(&op) {
+                op = next;
+                rungs.push(op.label());
+            }
+            assert_eq!(rungs, vec!["triton", "cpu-part", "cpu-radix"]);
+            assert!(!op.uses_gpu(), "the bottom rung must not need the GPU");
         }
-        // The rest of the ladder is unchanged and still terminates.
-        let mut op = next;
-        let mut rungs = vec![op.label()];
-        while let Some(next) = downgrade_operator(&op) {
-            op = next;
-            rungs.push(op.label());
-        }
-        assert_eq!(rungs, vec!["triton", "cpu-part", "cpu-radix"]);
     }
 }

@@ -33,7 +33,7 @@
 //! queries' optional cache shares (coldest victims re-priced through
 //! the link cost model, never answers) and only falls back to
 //! revocation or shedding once every cache grant is exhausted. See
-//! [`crate::resilience::ElasticGrants`];
+//! [`crate::resilience::ResilienceConfig::elastic`];
 //! [`SchedulerConfig::fixed_grants`] restores the pre-elastic behavior.
 //!
 //! Execution is functional: every admitted query actually runs its
@@ -66,8 +66,8 @@ use crate::fault::{degraded_vector, FaultCause, FaultOutcome};
 use crate::metrics::SchedulerMetrics;
 use crate::observe::{GaugeSample, Recorder};
 use crate::query::{JoinQuery, QueryId};
-use crate::resilience::downgrade_operator;
 pub use crate::resilience::ResilienceConfig;
+use crate::resilience::{backoff_within, downgrade_operator, MAX_RETRIES, MAX_REVISIONS};
 use crate::slo::SloAccount;
 
 /// Why the scheduler refused to run a query.
@@ -228,12 +228,11 @@ pub struct SchedulerConfig {
     /// loop, reproduced exactly. An idle machine always wakes on the
     /// first arrival regardless.
     pub arrival_batch: usize,
-    /// Memoize repeat scheduling work — operator pricing
-    /// ([`crate::CostCache`]) and plan-footprint analyses
-    /// ([`triton_plan::FootprintCache`]) — across decisions.
-    /// Semantically transparent: outcomes, trace, and SLO accounts are
-    /// identical with the memos on or off (only the
-    /// `sched.cost_cache.*` telemetry counters differ).
+    /// Memoize operator pricing ([`crate::CostCache`]) across
+    /// decisions. Semantically transparent: outcomes, trace, and SLO
+    /// accounts are identical with the memo on or off (only the
+    /// `sched.cost_cache.*` telemetry counters differ), so the off path
+    /// is the reference the memo is tested against.
     pub cost_caching: bool,
 }
 
@@ -344,7 +343,7 @@ struct Running {
     /// Transient failures survived on the current ladder rung.
     attempts_at_rung: u32,
     /// In-place grant revisions absorbed so far (bounded by
-    /// [`crate::resilience::ElasticGrants::max_revisions`]).
+    /// [`crate::resilience::MAX_REVISIONS`]).
     revisions: u32,
 }
 
@@ -469,8 +468,6 @@ impl<'a> World<'a> {
             .partition(|(_, q)| q.arrival.0.is_finite());
         // Stable by arrival time; ids preserve submission order.
         arrivals.sort_by(|a, b| a.1.arrival.0.total_cmp(&b.1.arrival.0));
-        let mut admission = AdmissionController::new(hw);
-        admission.set_plan_caching(config.cost_caching);
         let mut world = World {
             hw,
             config,
@@ -483,7 +480,7 @@ impl<'a> World<'a> {
             queue: VecDeque::new(),
             running: Vec::new(),
             outcomes: Vec::new(),
-            admission,
+            admission: AdmissionController::new(hw),
             cache: BuildCache::new(),
             costs: CostCache::new(config.cost_caching),
             obs: Recorder::new(),
@@ -502,7 +499,7 @@ impl<'a> World<'a> {
 
     /// Whether faults shrink grants in place before revoking anyone.
     fn elastic(&self) -> bool {
-        self.config.resilience.enabled && self.config.resilience.elastic.enabled
+        self.config.resilience.enabled && self.config.resilience.elastic
     }
 
     /// Refuse a query with a typed reason.
@@ -663,7 +660,6 @@ impl<'a> World<'a> {
             self.reject(q.id, q.query, reason);
             return;
         }
-        let retry = &self.config.resilience.retry;
         match cause {
             // First revocation: retry on the same rung asking for less
             // optional cache. Repeat offenders descend the ladder.
@@ -676,7 +672,7 @@ impl<'a> World<'a> {
             }
             // Retries exhausted on this rung: descend.
             FaultCause::Transient => {
-                if q.attempts_at_rung > retry.max_retries {
+                if q.attempts_at_rung > MAX_RETRIES {
                     self.downgrade(&mut q, "retries-exhausted");
                 }
             }
@@ -686,7 +682,7 @@ impl<'a> World<'a> {
         // shed).
         let attempt = q.fault.retries + q.fault.revocations - 1;
         let slack = q.query.deadline.map(|d| d - (self.clock - q.query.arrival));
-        let delay = retry.backoff_within(q.id, attempt, slack);
+        let delay = backoff_within(q.id, attempt, slack);
         self.obs
             .retry(q.id, self.clock, cause.label(), attempt, delay);
         q.eligible_at = self.clock + delay;
@@ -702,7 +698,6 @@ impl<'a> World<'a> {
         need: impl Fn(&AdmissionController) -> Bytes,
         reason: &'static str,
     ) {
-        let max_rev = self.config.resilience.elastic.max_revisions;
         loop {
             let missing = need(&self.admission);
             if missing.0 == 0 {
@@ -712,7 +707,7 @@ impl<'a> World<'a> {
                 .running
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| r.reservation.cache_grant.0 > 0 && r.revisions < max_rev)
+                .filter(|(_, r)| r.reservation.cache_grant.0 > 0 && r.revisions < MAX_REVISIONS)
                 .min_by_key(|(_, r)| {
                     (
                         r.query.priority,
@@ -749,7 +744,7 @@ impl<'a> World<'a> {
             // Nothing movable on this victim: exhaust it so the
             // search cannot pick it again and spin.
             _ => {
-                r.revisions = self.config.resilience.elastic.max_revisions;
+                r.revisions = MAX_REVISIONS;
                 return;
             }
         };
@@ -839,13 +834,13 @@ impl<'a> World<'a> {
             // ladder in place — the CPU radix floor is zero, so descent
             // always terminates. A query too big for the *pristine*
             // machine is shed with the typed reason as always.
-            let mut floor = self.admission.min_reserve_of(&q.query, self.hw);
+            let mut floor = AdmissionController::min_reserve(&q.query, self.hw);
             while floor > self.admission.capacity()
                 && self.config.resilience.enabled
                 && self.admission.capacity() < self.admission.initial_capacity()
                 && self.downgrade(&mut q, "capacity-floor")
             {
-                floor = self.admission.min_reserve_of(&q.query, self.hw);
+                floor = AdmissionController::min_reserve(&q.query, self.hw);
             }
             if floor > self.admission.capacity() {
                 let capacity = self.admission.capacity();
@@ -972,7 +967,7 @@ impl<'a> World<'a> {
     /// free memory): shed it as over-capacity backlog.
     fn shed_backlog(&mut self) {
         while let Some(q) = self.queue.pop_front() {
-            let needed = self.admission.min_reserve_of(&q.query, self.hw);
+            let needed = AdmissionController::min_reserve(&q.query, self.hw);
             let capacity = self.admission.capacity();
             self.reject(
                 q.id,
@@ -1182,7 +1177,8 @@ fn probe_frac(query: &JoinQuery) -> f64 {
 mod tests {
     use super::*;
     use crate::query::Operator;
-    use triton_core::reference_join;
+    use crate::resilience::backoff;
+    use triton_core::{reference_join, SkewPolicy, TritonJoin};
     use triton_datagen::WorkloadSpec;
 
     fn hw() -> HwConfig {
@@ -1352,6 +1348,42 @@ mod tests {
         );
         for (o, exp) in res.outcomes.iter().zip(&expected) {
             assert_eq!(&o.completed().unwrap().report.result, exp);
+        }
+    }
+
+    #[test]
+    fn exhausted_retries_descend_once_to_cpu_partitioned() {
+        // `MAX_RETRIES + 1` kernel faults, each striking the lone query
+        // half-way through a fresh Triton attempt, exhaust its retries.
+        // A skew-aware query lands on the same rung: the skew policy is
+        // not a rung of its own.
+        let skew_aware = Operator::Triton(TritonJoin {
+            skew: SkewPolicy::aware(),
+            ..TritonJoin::default()
+        });
+        for op in [Operator::triton(), skew_aware] {
+            let mut q = batch(1, 0.0).remove(0);
+            q.op = op;
+            let expected = reference_join(&q.workload);
+            let clean = Scheduler::new(hw(), SchedulerConfig::default()).run(vec![q.clone()]);
+            let run = clean.metrics.makespan;
+            // Attempt k + 1 starts once retry k's backoff has elapsed.
+            let mut plan = FaultPlan::with_seed(7);
+            let mut start = Ns::ZERO;
+            for attempt in 0..=MAX_RETRIES {
+                let strike = start + run * 0.5;
+                plan = plan.kernel_fault(strike);
+                start = strike + backoff(QueryId(0), attempt);
+            }
+            let res =
+                Scheduler::new(hw(), SchedulerConfig::default()).run_with_faults(vec![q], &plan);
+            let done = res.outcomes[0]
+                .completed()
+                .expect("retries recover the query");
+            assert_eq!(done.operator, "cpu-part");
+            assert_eq!(done.fault.downgrades, 1, "{:?}", done.fault);
+            assert_eq!(done.fault.retries, MAX_RETRIES + 1, "{:?}", done.fault);
+            assert_eq!(done.report.result, expected);
         }
     }
 

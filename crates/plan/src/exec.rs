@@ -35,7 +35,7 @@ const SELECT_INSTR: u64 = 4;
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
     /// Skip residency planning entirely and materialize every edge —
-    /// the degradation ladder's new top rung.
+    /// the degradation ladder's plan rung.
     pub force_materialize: bool,
     /// GPU-memory budget for intermediate placement; `None` = full
     /// device capacity (standalone runs). The scheduler sets this to

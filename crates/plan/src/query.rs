@@ -1,6 +1,6 @@
 //! [`PlanQuery`]: a validated plan plus its inputs, packaged for the
 //! serving runtime — admission math (peak footprint, not sum), the
-//! degradation knobs the resilience ladder flips, and a fallible run
+//! degradation knob the resilience ladder flips, and a fallible run
 //! entry point matching the single-join operators.
 
 use triton_core::SkewPolicy;
@@ -11,7 +11,7 @@ use triton_mem::OutOfMemory;
 
 use crate::dag::{Plan, PlanError};
 use crate::exec::{execute, PlanConfig, PlanRun};
-use crate::footprint::{plan_footprint, Footprint, FootprintCache};
+use crate::footprint::{plan_footprint, Footprint};
 
 /// A multi-operator query ready to serve: the DAG, its base relations,
 /// and the execution knobs the scheduler may adjust.
@@ -20,7 +20,7 @@ pub struct PlanQuery {
     plan: Plan,
     inputs: Vec<Relation>,
     /// Materialize every intermediate edge to host — the degradation
-    /// ladder's first rung for plans (fidelity kept, pipelining given
+    /// ladder's rung for plans (fidelity kept, pipelining given
     /// up), and a reservation reducer under memory pressure.
     pub force_materialize: bool,
     /// Skew policy applied to every join node.
@@ -72,20 +72,6 @@ impl PlanQuery {
     /// reproduces the same residency decisions, so the grant is tight.
     pub fn min_reserve(&self, hw: &HwConfig) -> Bytes {
         let fp = self.footprint(hw, hw.gpu.mem_capacity.0);
-        Bytes(fp.peak)
-    }
-
-    /// [`Self::min_reserve`] through a caller-held footprint memo.
-    /// Identical result; repeat tenants skip the placement pass.
-    pub fn min_reserve_cached(&self, hw: &HwConfig, memo: &mut FootprintCache) -> Bytes {
-        let tuples: Vec<u64> = self.inputs.iter().map(|r| r.len() as u64).collect();
-        let fp = memo.footprint(
-            &self.plan,
-            &tuples,
-            hw,
-            hw.gpu.mem_capacity.0,
-            self.force_materialize,
-        );
         Bytes(fp.peak)
     }
 

@@ -1,5 +1,5 @@
 //! Serving-runtime integration of multi-operator plans (`triton-exec` +
-//! `triton-plan`): peak-footprint (not sum) admission, the plan rungs of
+//! `triton-plan`): peak-footprint (not sum) admission, the plan rung of
 //! the degradation ladder, phase-rollup reconciliation, and scheduler
 //! determinism.
 
@@ -129,16 +129,14 @@ fn shrunk_grant_replaces_intermediates_exactly() {
 }
 
 #[test]
-fn plan_ladder_materializes_before_dropping_skew() {
-    // The new top rung: a faulting plan first gives up pipelining
-    // (force-materialize intermediates, fidelity kept), *then* drops
-    // skew-awareness, and only then is shed — single-join fallbacks
-    // cannot answer a multi-operator query.
+fn plan_ladder_materializes_then_sheds() {
+    // A plan's only rung: a faulting plan gives up pipelining
+    // (force-materialize intermediates, fidelity kept) and keeps its
+    // skew policy, which frees no memory; a plan that still faults is
+    // shed — single-join fallbacks cannot answer a multi-operator query.
     let mut q = chain_query(2);
     q.skew = SkewPolicy::aware();
-    let mut op = Operator::Plan(Box::new(q));
-
-    op = downgrade_operator(&op).expect("rung 1");
+    let op = downgrade_operator(&Operator::Plan(Box::new(q))).expect("rung 1");
     match &op {
         Operator::Plan(p) => {
             assert!(p.force_materialize, "rung 1 must force-materialize");
@@ -146,17 +144,9 @@ fn plan_ladder_materializes_before_dropping_skew() {
         }
         other => panic!("expected a plan, got {}", other.label()),
     }
-    op = downgrade_operator(&op).expect("rung 2");
-    match &op {
-        Operator::Plan(p) => {
-            assert!(p.force_materialize);
-            assert!(!p.skew.is_aware(), "rung 2 drops the skew policy");
-        }
-        other => panic!("expected a plan, got {}", other.label()),
-    }
     assert!(
         downgrade_operator(&op).is_none(),
-        "a fully degraded plan has no further rung"
+        "a force-materialized plan has no rung 2"
     );
 
     // The single-join ladder is untouched.

@@ -1,8 +1,8 @@
-//! Throughput-path tests: epoch-batched admission and the cost/plan
-//! memos ([`triton_exec::CostCache`], `triton_plan::FootprintCache`)
-//! must be *semantically transparent* — outcomes, trace, SLO accounts,
-//! and every metric except the cache counters themselves are
-//! byte-identical with the memos on or off, on clean, chaos, and
+//! Throughput-path tests: epoch-batched admission and the cost memo
+//! ([`triton_exec::CostCache`]) must be *semantically transparent* —
+//! outcomes, trace, SLO accounts, and every metric except the cache
+//! counters themselves are byte-identical with the memo on or off, on
+//! clean, chaos, and
 //! grant-revision timelines — and epoch batching
 //! ([`SchedulerConfig::throughput`]) may move decision points but never
 //! answers: every query still reaches a terminal outcome with exact
@@ -129,7 +129,7 @@ fn assert_transparent(queries: &[JoinQuery], plan: &FaultPlan, label: &str) {
     assert_eq!(
         to_chrome_json(&on.trace),
         to_chrome_json(&off.trace),
-        "{label}: the memos may not emit trace events"
+        "{label}: the memo may not emit trace events"
     );
     assert_eq!(
         filtered_text(&on.telemetry),
