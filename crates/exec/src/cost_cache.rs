@@ -32,7 +32,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use triton_core::JoinReport;
+use triton_core::{
+    CpuPartitionedJoin, CpuRadixJoin, JoinReport, NoPartitioningJoin, SkewMechanisms, SkewPolicy,
+    TritonJoin,
+};
+use triton_datagen::WorkloadSpec;
+use triton_hw::units::Bytes;
+use triton_hw::CpuConfig;
 
 use crate::admission::{operator_with_grant, MemoryGrant};
 use crate::query::{JoinQuery, Operator};
@@ -82,33 +88,21 @@ impl CostCache {
     /// and content-addressed ([`triton_datagen::Column`]): each column's
     /// digest is computed once, on its first pricing, and shared by
     /// every clone of the workload. A key therefore costs two cached
-    /// digests plus a short string — O(1) in the relation sizes.
+    /// digests plus a few dozen words of configuration — O(1) in the
+    /// relation sizes.
     pub fn key(query: &JoinQuery, granted: &Operator) -> Option<CostKey> {
         if matches!(query.op, Operator::Plan(_)) {
             return None;
         }
-        #[inline]
-        fn mix(h: u64, v: u64) -> u64 {
-            let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            x ^ (x >> 29)
-        }
         let w = &query.workload;
         let (r, s) = (w.r.digest(), w.s.digest());
-        let mut lo = mix(mix(0xcbf2_9ce4_8422_2325, r as u64), s as u64);
-        let mut hi = mix(
-            mix(0x6c62_272e_07bb_0142, (r >> 64) as u64),
-            (s >> 64) as u64,
-        );
-        // The granted operator's debug encoding covers every field that
-        // shapes execution (algorithms, hash scheme, skew and elastic
-        // policies, and the grant-dependent cache budget), and the spec
-        // covers the modeled-scale factors the report echoes. Short
-        // strings: byte-at-a-time FNV is fine here.
-        for byte in format!("{:?}|{:?}", granted, w.spec).bytes() {
-            lo = (lo ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-            hi = (hi ^ u64::from(byte).rotate_left(17)).wrapping_mul(0x0000_0100_0000_01B3);
+        let mut k = KeyLanes(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
+        for half in [r as u64, s as u64, (r >> 64) as u64, (s >> 64) as u64] {
+            k.word(half);
         }
-        Some((lo, hi))
+        k.operator(granted);
+        k.spec(&w.spec);
+        Some((k.0, k.1))
     }
 
     /// Price `query` under `grant`: memo hit when possible, otherwise
@@ -161,6 +155,173 @@ impl CostCache {
     /// True when nothing is memoized.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// The two lanes of a [`CostKey`], fed one word at a time. Every field
+/// that shapes execution enters as a word: the granted operator's
+/// algorithms, hash scheme, skew policy and grant-dependent cache budget,
+/// and the spec's modeled-scale factors the report echoes. `f64`s enter
+/// by their bits, enums by discriminant, and every struct is destructured
+/// in full, so a new field fails to compile here instead of aliasing keys.
+struct KeyLanes(u64, u64);
+
+impl KeyLanes {
+    /// Fold one word into both lanes. Each step is a bijection of the
+    /// word and of the lane, so changing any single word changes both.
+    fn word(&mut self, v: u64) {
+        #[inline]
+        fn mix(h: u64, v: u64) -> u64 {
+            let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x ^ (x >> 29)
+        }
+        self.0 = mix(self.0, v);
+        self.1 = mix(self.1, v.rotate_left(17));
+    }
+
+    fn bytes(&mut self, b: Option<Bytes>) {
+        match b {
+            None => self.word(0),
+            Some(Bytes(n)) => {
+                self.word(1);
+                self.word(n);
+            }
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn operator(&mut self, op: &Operator) {
+        match op {
+            Operator::Triton(j) => {
+                let TritonJoin {
+                    pass1,
+                    pass2,
+                    cache_bytes,
+                    caching_enabled,
+                    gpu_prefix_sum,
+                    scheme,
+                    max_pass2_bits,
+                    materialize,
+                    third_pass,
+                    bloom_prefilter,
+                    interleaved_cache,
+                    overlap,
+                    skew,
+                } = j;
+                self.word(0);
+                self.word(*pass1 as u64);
+                self.word(*pass2 as u64);
+                self.bytes(*cache_bytes);
+                self.word(*scheme as u64);
+                self.word(u64::from(*max_pass2_bits));
+                for flag in [
+                    caching_enabled,
+                    gpu_prefix_sum,
+                    materialize,
+                    third_pass,
+                    bloom_prefilter,
+                    interleaved_cache,
+                    overlap,
+                ] {
+                    self.word(u64::from(*flag));
+                }
+                match skew {
+                    SkewPolicy::Off => self.word(0),
+                    SkewPolicy::Aware(m) => {
+                        let SkewMechanisms {
+                            hot_cache,
+                            lpt,
+                            split_heavy,
+                        } = m;
+                        self.word(1);
+                        for flag in [hot_cache, lpt, split_heavy] {
+                            self.word(u64::from(*flag));
+                        }
+                    }
+                }
+            }
+            Operator::NoPartitioning(j) => {
+                let NoPartitioningJoin {
+                    scheme,
+                    load_factor,
+                    cache_bytes,
+                } = j;
+                self.word(1);
+                self.word(*scheme as u64);
+                self.word(load_factor.to_bits());
+                self.bytes(*cache_bytes);
+            }
+            Operator::CpuPartitioned(j) => {
+                let CpuPartitionedJoin { pass2, scheme } = j;
+                self.word(2);
+                self.word(*pass2 as u64);
+                self.word(*scheme as u64);
+            }
+            Operator::CpuRadix(j) => {
+                let CpuRadixJoin { cpu, scheme } = j;
+                let CpuConfig {
+                    name,
+                    cores,
+                    smt,
+                    clock_ghz,
+                    mem_bandwidth,
+                    mem_capacity,
+                    llc_per_core,
+                    seq_scan_efficiency,
+                    partition_cycles_per_tuple,
+                    join_cycles_per_tuple,
+                } = cpu;
+                self.word(3);
+                self.word(*scheme as u64);
+                self.str(name);
+                self.word(u64::from(*cores));
+                self.word(u64::from(*smt));
+                for x in [
+                    clock_ghz,
+                    &mem_bandwidth.0,
+                    seq_scan_efficiency,
+                    partition_cycles_per_tuple,
+                    join_cycles_per_tuple,
+                ] {
+                    self.word(x.to_bits());
+                }
+                self.word(mem_capacity.0);
+                self.word(llc_per_core.0);
+            }
+            // Plans never reach the key (see `CostCache::key`).
+            Operator::Plan(_) => self.word(4),
+        }
+    }
+
+    fn spec(&mut self, spec: &WorkloadSpec) {
+        let WorkloadSpec {
+            r_tuples_modeled,
+            s_tuples_modeled,
+            scale,
+            payload_cols,
+            zipf_theta,
+            match_fraction,
+            seed,
+        } = spec;
+        for v in [
+            *r_tuples_modeled,
+            *s_tuples_modeled,
+            *scale,
+            *payload_cols as u64,
+            zipf_theta.to_bits(),
+            match_fraction.to_bits(),
+            *seed,
+        ] {
+            self.word(v);
+        }
     }
 }
 
@@ -236,6 +397,106 @@ mod tests {
             CostCache::key(&q, &q.op),
             "equal content in separate allocations keys equal"
         );
+    }
+
+    /// The base of each operator variant, every single-field change of
+    /// it, and every single-field change of the spec key pairwise apart.
+    #[test]
+    fn any_changed_config_field_changes_the_key() {
+        use triton_core::HashScheme;
+        use triton_hw::BytesPerSec;
+
+        fn triton(f: fn(&mut TritonJoin)) -> Operator {
+            let mut j = TritonJoin::default();
+            f(&mut j);
+            Operator::Triton(j)
+        }
+        fn npj(f: fn(&mut NoPartitioningJoin)) -> Operator {
+            let mut j = NoPartitioningJoin::linear_probing();
+            f(&mut j);
+            Operator::NoPartitioning(j)
+        }
+        fn cpu_part(f: fn(&mut CpuPartitionedJoin)) -> Operator {
+            let mut j = CpuPartitionedJoin::default();
+            f(&mut j);
+            Operator::CpuPartitioned(j)
+        }
+        fn radix(f: fn(&mut CpuConfig)) -> Operator {
+            let mut j = CpuRadixJoin::power9(HashScheme::BucketChaining);
+            f(&mut j.cpu);
+            Operator::CpuRadix(j)
+        }
+        fn aware(f: fn(&mut SkewMechanisms)) -> SkewPolicy {
+            let mut m = SkewMechanisms::default();
+            f(&mut m);
+            SkewPolicy::Aware(m)
+        }
+        let ops = [
+            triton(|_| {}),
+            triton(|j| j.pass1 = j.pass2),
+            triton(|j| j.pass2 = j.pass1),
+            triton(|j| j.cache_bytes = Some(Bytes(0))),
+            triton(|j| j.cache_bytes = Some(Bytes(64))),
+            triton(|j| j.caching_enabled = false),
+            triton(|j| j.gpu_prefix_sum = true),
+            triton(|j| j.scheme = HashScheme::Perfect),
+            triton(|j| j.max_pass2_bits = 8),
+            triton(|j| j.materialize = true),
+            triton(|j| j.third_pass = false),
+            triton(|j| j.bloom_prefilter = true),
+            triton(|j| j.interleaved_cache = false),
+            triton(|j| j.overlap = false),
+            triton(|j| j.skew = SkewPolicy::aware()),
+            triton(|j| j.skew = aware(|m| m.hot_cache = false)),
+            triton(|j| j.skew = aware(|m| m.lpt = false)),
+            triton(|j| j.skew = aware(|m| m.split_heavy = false)),
+            npj(|_| {}),
+            npj(|j| j.scheme = HashScheme::Perfect),
+            npj(|j| j.load_factor = 0.75),
+            npj(|j| j.cache_bytes = Some(Bytes(1 << 20))),
+            cpu_part(|_| {}),
+            cpu_part(|j| j.pass2 = TritonJoin::default().pass1),
+            cpu_part(|j| j.scheme = HashScheme::Perfect),
+            radix(|_| {}),
+            Operator::CpuRadix(CpuRadixJoin::power9(HashScheme::Perfect)),
+            radix(|c| c.name.push('x')),
+            radix(|c| c.cores += 1),
+            radix(|c| c.smt += 1),
+            radix(|c| c.clock_ghz += 0.1),
+            radix(|c| c.mem_bandwidth = BytesPerSec(c.mem_bandwidth.0 * 2.0)),
+            radix(|c| c.mem_capacity = Bytes(c.mem_capacity.0 + 1)),
+            radix(|c| c.llc_per_core = Bytes(c.llc_per_core.0 + 1)),
+            radix(|c| c.seq_scan_efficiency *= 0.5),
+            radix(|c| c.partition_cycles_per_tuple += 1.0),
+            radix(|c| c.join_cycles_per_tuple += 1.0),
+        ];
+        let specs: [fn(&mut WorkloadSpec); 7] = [
+            |s| s.r_tuples_modeled += 1,
+            |s| s.s_tuples_modeled += 1,
+            |s| s.scale *= 2,
+            |s| s.payload_cols += 1,
+            |s| s.zipf_theta = 1.5,
+            |s| s.match_fraction = 0.5,
+            |s| s.seed += 1,
+        ];
+        let q = query(1);
+        let mut keyed = BTreeMap::new();
+        let mut key = |what: String, op: &Operator, spec: &WorkloadSpec| {
+            let mut q = q.clone();
+            q.workload.spec = spec.clone();
+            let k = CostCache::key(&q, op).unwrap();
+            if let Some(prev) = keyed.insert(k, what.clone()) {
+                panic!("{what} keys like {prev}");
+            }
+        };
+        for (i, op) in ops.iter().enumerate() {
+            key(format!("operator {i}"), op, &q.workload.spec);
+        }
+        for (i, change) in specs.iter().enumerate() {
+            let mut spec = q.workload.spec.clone();
+            change(&mut spec);
+            key(format!("spec change {i}"), &q.op, &spec);
+        }
     }
 
     #[test]

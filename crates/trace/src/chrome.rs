@@ -44,9 +44,46 @@ fn push_meta(out: &mut String, kind: &str, pid: u64, tid: u64, label: &str) {
     out.push_str("}},\n");
 }
 
+/// Encode one event as a line of the array, with a trailing comma
+/// unless it is the last event.
+fn push_event(out: &mut String, ev: &TraceEvent, comma: bool) {
+    out.push('{');
+    out.push_str("\"name\":");
+    push_str_lit(out, &ev.name);
+    match ev.kind {
+        EventKind::Span { dur_ns } => {
+            out.push_str(",\"ph\":\"X\",\"ts\":");
+            push_f64(out, ev.ts_ns / 1e3);
+            out.push_str(",\"dur\":");
+            push_f64(out, dur_ns / 1e3);
+        }
+        // triton-lint: allow(d2) -- matches the Chrome instant variant, not std::time::Instant
+        EventKind::Instant => {
+            out.push_str(",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+            push_f64(out, ev.ts_ns / 1e3);
+        }
+        EventKind::Counter => {
+            out.push_str(",\"ph\":\"C\",\"ts\":");
+            push_f64(out, ev.ts_ns / 1e3);
+        }
+    }
+    let _ = std::fmt::Write::write_fmt(
+        out,
+        format_args!(",\"pid\":{},\"tid\":{},\"args\":", ev.pid, ev.tid),
+    );
+    push_attrs(out, ev);
+    out.push('}');
+    if comma {
+        out.push(',');
+    }
+    out.push('\n');
+}
+
 /// Encode a [`Trace`] as Chrome `trace_event` JSON. Deterministic:
 /// equal traces produce byte-identical output (track metadata is sorted
-/// by id; events keep their recording order).
+/// by id; events keep their recording order). Deferred blocks are
+/// expanded one at a time as they are written, never into a full copy
+/// of the trace.
 #[must_use]
 pub fn to_chrome_json(trace: &Trace) -> String {
     let mut out = String::with_capacity(128 + trace.len() * 96);
@@ -57,38 +94,14 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     for (pid, tid, name) in trace.threads() {
         push_meta(&mut out, "thread_name", pid, tid, name);
     }
-    for (i, ev) in trace.events().iter().enumerate() {
-        out.push('{');
-        out.push_str("\"name\":");
-        push_str_lit(&mut out, &ev.name);
-        match ev.kind {
-            EventKind::Span { dur_ns } => {
-                out.push_str(",\"ph\":\"X\",\"ts\":");
-                push_f64(&mut out, ev.ts_ns / 1e3);
-                out.push_str(",\"dur\":");
-                push_f64(&mut out, dur_ns / 1e3);
-            }
-            // triton-lint: allow(d2) -- matches the Chrome instant variant, not std::time::Instant
-            EventKind::Instant => {
-                out.push_str(",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
-                push_f64(&mut out, ev.ts_ns / 1e3);
-            }
-            EventKind::Counter => {
-                out.push_str(",\"ph\":\"C\",\"ts\":");
-                push_f64(&mut out, ev.ts_ns / 1e3);
-            }
+    let total = trace.len();
+    let mut written = 0;
+    trace.for_each_chunk(|chunk| {
+        for ev in chunk {
+            written += 1;
+            push_event(&mut out, ev, written < total);
         }
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(",\"pid\":{},\"tid\":{},\"args\":", ev.pid, ev.tid),
-        );
-        push_attrs(&mut out, ev);
-        out.push('}');
-        if i + 1 < trace.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
+    });
     out.push_str("]\n");
     out
 }
@@ -229,6 +242,38 @@ mod tests {
         assert!(matches!(owned.events()[0].name, Cow::Owned(_)));
         assert_eq!(borrowed.events(), owned.events());
         assert_eq!(to_chrome_json(&borrowed), to_chrome_json(&owned));
+    }
+
+    #[test]
+    fn deferred_blocks_export_like_pushed_events() {
+        let spans = |at: f64| {
+            (0..3u64)
+                .map(|i| TraceEvent {
+                    pid: 1,
+                    tid: 2,
+                    name: Cow::Owned(format!("s{i}")),
+                    ts_ns: at + i as f64,
+                    kind: EventKind::Span { dur_ns: 0.5 },
+                    attrs: vec![Attr::u64("pair", i)],
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut pushed = sample();
+        let mut deferred = sample();
+        for at in [10.0, 20.0] {
+            for ev in spans(at) {
+                pushed.push(ev);
+            }
+            deferred.defer(3, move |out| out.extend(spans(at)));
+        }
+        pushed.instant(1, 0, "tail", 30.0);
+        deferred.instant(1, 0, "tail", 30.0);
+        let json = to_chrome_json(&deferred);
+        assert_eq!(json, to_chrome_json(&pushed));
+        assert_eq!(validate_chrome(&json), Ok(11));
+        // Reading the flat view first does not change the bytes.
+        assert_eq!(deferred.events(), pushed.events());
+        assert_eq!(to_chrome_json(&deferred), json);
     }
 
     #[test]

@@ -26,7 +26,11 @@
 //! suffix (`tlb_full_misses`, `retries`). Values are typed
 //! ([`AttrValue`]) so exporters never guess. Keys are `&'static str`
 //! literals and event names are borrowed when static, so recording a
-//! typical event allocates only its attribute vector.
+//! typical event allocates only its attribute vector. A producer that
+//! emits a run of events per call (the serving runtime's per-query SM-half
+//! lanes) records it as one deferred block ([`Trace::defer`]): a compact
+//! record at its place in the order, expanded into the same events only
+//! when the trace is read.
 //!
 //! # Flight recorder
 //!

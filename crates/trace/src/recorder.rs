@@ -2,15 +2,48 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::event::{EventKind, TraceEvent};
+
+/// Appends a deferred block's events, in order, to the given vector;
+/// see [`Trace::defer`].
+type Expander = Arc<dyn Fn(&mut Vec<TraceEvent>) + Send + Sync>;
+
+/// A run of events recorded compactly at position `at` of the pushed
+/// events and expanded only when the trace is read.
+#[derive(Clone)]
+struct Deferred {
+    at: usize,
+    count: usize,
+    expand: Expander,
+}
+
+impl fmt::Debug for Deferred {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Deferred")
+            .field("at", &self.at)
+            .field("count", &self.count)
+            .finish_non_exhaustive()
+    }
+}
 
 /// An append-only trace. Events keep their recording order — the
 /// simulation that produces them is deterministic, so the recorded
 /// order (and every exporter built on it) is too.
+///
+/// A producer that emits many events per call can record them as one
+/// deferred block ([`Trace::defer`]) instead: the block holds its place
+/// in the recording order and is expanded only when the trace is read.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
+    deferred: Vec<Deferred>,
+    /// Pushed and expanded events in recording order, built by the first
+    /// [`Trace::events`] call after a deferred block and dropped by any
+    /// later recording.
+    flat: OnceLock<Vec<TraceEvent>>,
     process_names: BTreeMap<u64, Cow<'static, str>>,
     thread_names: BTreeMap<(u64, u64), Cow<'static, str>>,
 }
@@ -91,24 +124,76 @@ impl Trace {
 
     /// Record a prebuilt event and return it for attribute chaining.
     pub fn push(&mut self, ev: TraceEvent) -> &mut TraceEvent {
+        self.flat.take();
         let idx = self.events.len();
         self.events.push(ev);
         &mut self.events[idx]
     }
 
-    /// All events, in recording order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// Record `count` events as one block at the current position.
+    /// `expand` must append exactly `count` events; it runs each time the
+    /// trace is read, so it must append the same events every time.
+    pub fn defer(
+        &mut self,
+        count: usize,
+        expand: impl Fn(&mut Vec<TraceEvent>) + Send + Sync + 'static,
+    ) {
+        if count == 0 {
+            return;
+        }
+        self.flat.take();
+        self.deferred.push(Deferred {
+            at: self.events.len(),
+            count,
+            expand: Arc::new(expand),
+        });
     }
 
-    /// Number of recorded events.
+    /// All events, in recording order, with deferred blocks expanded in
+    /// place. A trace holding deferred blocks builds this flat view on
+    /// the first call and keeps it until the next recording; readers
+    /// inside this crate ([`Trace::span_ns`], the Chrome exporter) walk
+    /// the blocks one at a time instead and build no copy.
+    pub fn events(&self) -> &[TraceEvent] {
+        if self.deferred.is_empty() {
+            return &self.events;
+        }
+        self.flat.get_or_init(|| {
+            let mut all = Vec::with_capacity(self.len());
+            self.for_each_chunk(|chunk| all.extend_from_slice(chunk));
+            all
+        })
+    }
+
+    /// Walk the events in recording order as consecutive slices,
+    /// expanding one deferred block at a time into a reused buffer, so
+    /// no second copy of the whole trace is built.
+    pub(crate) fn for_each_chunk(&self, mut f: impl FnMut(&[TraceEvent])) {
+        if let Some(all) = self.flat.get() {
+            f(all);
+            return;
+        }
+        let mut from = 0;
+        let mut block = Vec::new();
+        for d in &self.deferred {
+            f(&self.events[from..d.at]);
+            from = d.at;
+            block.clear();
+            (d.expand)(&mut block);
+            assert_eq!(block.len(), d.count, "a deferred block appends its count");
+            f(&block);
+        }
+        f(&self.events[from..]);
+    }
+
+    /// Number of recorded events, deferred ones included.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.deferred.iter().map(|d| d.count).sum::<usize>()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Label of a track group, if one was set.
@@ -133,10 +218,11 @@ impl Trace {
 
     /// Latest end time over all events (0 for an empty trace).
     pub fn span_ns(&self) -> f64 {
-        self.events
-            .iter()
-            .map(TraceEvent::end_ns)
-            .fold(0.0, f64::max)
+        let mut end = 0.0;
+        self.for_each_chunk(|chunk| {
+            end = chunk.iter().map(TraceEvent::end_ns).fold(end, f64::max);
+        });
+        end
     }
 }
 
@@ -156,6 +242,58 @@ mod tests {
         assert_eq!(t.events()[0].attrs[0].key, "bytes_moved_link");
         assert_eq!(t.events()[1].name, "admit");
         assert!((t.span_ns() - 15.0).abs() < 1e-12);
+    }
+
+    /// A deferred block of `n` spans named `prefix0..`, on tid 9.
+    fn block(t: &mut Trace, prefix: &'static str, n: usize, ts_ns: f64) {
+        t.defer(n, move |out: &mut Vec<TraceEvent>| {
+            for i in 0..n {
+                out.push(TraceEvent {
+                    pid: 1,
+                    tid: 9,
+                    name: format!("{prefix}{i}").into(),
+                    ts_ns: ts_ns + i as f64,
+                    kind: EventKind::Span { dur_ns: 1.0 },
+                    attrs: vec![Attr::u64("i", i as u64)],
+                });
+            }
+        });
+    }
+
+    fn names(t: &Trace) -> Vec<String> {
+        t.events().iter().map(|e| e.name.to_string()).collect()
+    }
+
+    #[test]
+    fn deferred_blocks_keep_their_place_and_views_refresh() {
+        let mut t = Trace::new();
+        t.instant(1, 0, "first", 0.0);
+        block(&mut t, "a", 2, 5.0);
+        block(&mut t, "b", 1, 1.0);
+        t.instant(1, 0, "second", 2.0);
+        block(&mut t, "empty", 0, 99.0);
+        assert_eq!(t.len(), 5);
+        let expected = ["first", "a0", "a1", "b0", "second"];
+        // The streaming walk (no flat view yet) and the flat view agree.
+        let mut walked = Vec::new();
+        t.for_each_chunk(|c| walked.extend(c.iter().map(|e| e.name.to_string())));
+        assert_eq!(walked, expected);
+        assert!((t.span_ns() - 7.0).abs() < 1e-12);
+        assert_eq!(names(&t), expected);
+        assert_eq!(t.events()[2].attrs, [Attr::u64("i", 1)]);
+        // A later push lands after the blocks and drops the flat view.
+        t.span(1, 0, "third", 20.0, 5.0);
+        assert_eq!(t.len(), 6);
+        assert_eq!(names(&t)[5], "third");
+        block(&mut t, "c", 1, 3.0);
+        assert_eq!(t.len(), 7);
+        assert_eq!(
+            names(&t),
+            ["first", "a0", "a1", "b0", "second", "third", "c0"]
+        );
+        assert!((t.span_ns() - 25.0).abs() < 1e-12);
+        // Clones read the same events.
+        assert_eq!(t.clone().events(), t.events());
     }
 
     #[test]
